@@ -1,4 +1,4 @@
-.PHONY: all build test check mc mc-crash mc-batch lint trace-smoke trace-cp bench bench-quick bench-scale tables tables-quick
+.PHONY: all build test check mc mc-crash mc-batch lint trace-smoke trace-cp bench bench-quick bench-scale perfbench tables tables-quick
 
 all: build
 
@@ -91,3 +91,15 @@ bench-quick:
 bench-scale:
 	dune build bench/main.exe
 	./_build/default/bench/main.exe scale bench/BENCH_$(if $(BENCH_ID),$(BENCH_ID),0).json
+
+# Repository benchmark (perfbench/, declared in BENCHMARK.json): each of
+# the three workloads for 30 s at seed SEED (default: the held-out seed
+# 9001), then the benchmark's own tests.  The last line each run prints
+# is its JSON result.
+SEED ?= 9001
+
+perfbench:
+	python3 perfbench/run.py --workload synth-a-below-knee --seed $(SEED) --seconds 30 --trace 0
+	python3 perfbench/run.py --workload synth-a-overload --seed $(SEED) --seconds 30 --trace 0
+	python3 perfbench/run.py --workload rubis-closed --seed $(SEED) --seconds 30 --trace 0
+	python3 perfbench/test_bench.py

@@ -22,6 +22,10 @@ type node = {
   clock : Clock.t;
   cpu : Cpu.t;
   servers : (int, Partition_server.t) Hashtbl.t;  (** partition -> replica *)
+  server_of : Partition_server.t option array;
+      (** the same map indexed by partition: {!server}'s lookup path,
+          free of hashing and allocation; [servers] keeps the iteration
+          order the crash and sweep paths depend on *)
   cache : Partition_server.t;
   active : tx Txid.Tbl.t;  (** local transactions, active or local-committed *)
   stats : Stats.t;
@@ -251,7 +255,7 @@ let is_alive eng n = eng.nodes.(n).alive
 let cache_of eng i = eng.nodes.(i).cache
 
 let server eng ~node:n ~partition:p =
-  match Hashtbl.find_opt eng.nodes.(n).servers p with
+  match eng.nodes.(n).server_of.(p) with
   | Some s -> s
   | None ->
     invalid_arg
@@ -304,6 +308,7 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
           clock;
           cpu;
           servers = Hashtbl.create 16;
+          server_of = Array.make (Placement.n_partitions placement) None;
           cache =
             Partition_server.create ~sim ~clock ~cpu ~config ~node_id:id
               ~partition:(-1) ~is_cache:true ~stats ~trace ~pid:(node_pid id) ();
@@ -322,9 +327,12 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
     Array.iter
       (fun r ->
         let nd = nodes.(r) in
-        Hashtbl.replace nd.servers p
-          (Partition_server.create ~sim ~clock:nd.clock ~cpu:nd.cpu ~config
-             ~node_id:r ~partition:p ~stats:nd.stats ~trace ~pid:(node_pid r) ()))
+        let srv =
+          Partition_server.create ~sim ~clock:nd.clock ~cpu:nd.cpu ~config
+            ~node_id:r ~partition:p ~stats:nd.stats ~trace ~pid:(node_pid r) ()
+        in
+        Hashtbl.replace nd.servers p srv;
+        nd.server_of.(p) <- Some srv)
       (Placement.replicas placement p)
   done;
   let nearest =
@@ -376,6 +384,10 @@ let create ~sim ~net ~placement ~config ?(seed = 42) ?trace () =
       || config.Config.broken_double_resolution;
   }
 
+(* Writer of every loaded version: one shared id, not one per replica
+   per key. *)
+let loader = Txid.make ~origin:(-1) ~number:0
+
 (** Install an initial committed version of [key] (timestamp 0) at every
     replica of its partition, bypassing the protocol.  For dataset
     loading before the measured run. *)
@@ -385,7 +397,7 @@ let load eng key value =
     (fun r ->
       Mvstore.load
         (Partition_server.store (server eng ~node:r ~partition:p))
-        ~writer:(Txid.make ~origin:(-1) ~number:0) key value)
+        ~writer:loader key value)
     (Placement.replicas eng.placement p)
 
 (* ------------------------------------------------------------------ *)
@@ -864,7 +876,7 @@ let commit_apply eng tx ct =
      before any decision message leaves the coordinator (AC3). *)
   log_decision eng tx (D_commit ct);
   tx.ffc <- ct;
-  Txid.Tbl.reset tx.olcset;
+  olc_clear tx;
   let dependents = tx.dependents in
   tx.dependents <- [];
   List.iter
@@ -955,7 +967,7 @@ let begin_tx eng ~origin =
 let rec read eng tx key =
   check_live tx;
   let nd = eng.nodes.(tx.origin) in
-  match KeyTbl.find_opt tx.wbuf key with
+  match buffered tx key with
   | Some v -> Some v (* read-your-writes from the private buffer *)
   | None ->
     let p = Key.partition key in
@@ -1112,10 +1124,7 @@ let rec read eng tx key =
          can be promoted to a write at certification time. *)
       (match eng.config.Config.isolation, r.value with
        | Config.Serializable, Some v ->
-         if not (KeyTbl.mem tx.rset key) then begin
-           KeyTbl.replace tx.rset key v;
-           tx.rset_keys <- key :: tx.rset_keys
-         end
+         record_read tx key v
        | Config.Serializable, None | Config.Snapshot_isolation, _ -> ());
       r.value
     in
@@ -1153,11 +1162,7 @@ let rec read eng tx key =
 
 let write eng tx key value =
   check_live tx;
-  if not (KeyTbl.mem tx.wbuf key) then begin
-    tx.wkeys <- key :: tx.wkeys;
-    tx.n_wkeys <- tx.n_wkeys + 1
-  end;
-  KeyTbl.replace tx.wbuf key value;
+  buffer tx key value;
   emit eng (Ev_write { id = tx.id; key; time = Sim.now eng.sim })
 
 (* Group the write set by partition — ascending partitions, each
@@ -1168,7 +1173,7 @@ let write eng tx key value =
 let group_writes tx =
   match tx.wkeys with
   | [] -> []
-  | [ key ] -> [ (Key.partition key, [ (key, KeyTbl.find tx.wbuf key) ]) ]
+  | [ key ] -> [ (Key.partition key, [ (key, buffered_exn tx key) ]) ]
   | wkeys ->
     (* [wkeys] is reverse insertion order: array index 0 holds the most
        recent write, so ascending insertion order = descending index. *)
@@ -1192,7 +1197,7 @@ let group_writes tx =
         writes := [];
         cur_p := p
       end;
-      writes := (key, KeyTbl.find tx.wbuf key) :: !writes
+      writes := (key, buffered_exn tx key) :: !writes
     done;
     (!cur_p, !writes) :: !groups
 
@@ -1262,10 +1267,8 @@ let commit eng tx =
     if eng.config.Config.isolation = Config.Serializable then
       List.iter
         (fun key ->
-          if not (KeyTbl.mem tx.wbuf key) then begin
-            KeyTbl.replace tx.wbuf key (KeyTbl.find tx.rset key);
-            tx.wkeys <- key :: tx.wkeys;
-            tx.n_wkeys <- tx.n_wkeys + 1;
+          if Option.is_none (buffered tx key) then begin
+            buffer tx key (recorded_exn tx key);
             emit eng (Ev_write { id = tx.id; key; time = Sim.now eng.sim })
           end)
         (List.rev tx.rset_keys);

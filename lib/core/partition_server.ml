@@ -208,24 +208,30 @@ type prepare_outcome =
 (** Prepare-timestamp proposal (§5.3): Precise Clocks propose
     [max(LastReader(k) + 1)] over the written keys; Physical clocks
     propose the replica's current physical time.  Both are raised above
-    any version already in the chains, preserving chain order. *)
-let proposal_for t writes =
+    any version already in the chains, preserving chain order.
+    [chain_at i key] is the chain of the [i]-th written key. *)
+let proposal_for t writes chain_at =
+  let rec go i acc = function
+    | [] -> acc
+    | (key, _) :: rest ->
+      let acc =
+        match t.config.clocks with
+        | Config.Precise -> Int.max acc (Mvstore.last_reader t.store key + 1)
+        | Config.Physical -> acc
+      in
+      let acc =
+        match Chain.newest (chain_at i key) with
+        | Some newest -> Int.max acc (newest.ts + 1)
+        | None -> acc
+      in
+      go (i + 1) acc rest
+  in
   let base =
     match t.config.clocks with
     | Config.Precise -> 0
     | Config.Physical -> Dsim.Clock.now t.clock
   in
-  List.fold_left
-    (fun acc (key, _) ->
-      let acc =
-        match t.config.clocks with
-        | Config.Precise -> max acc (Mvstore.last_reader t.store key + 1)
-        | Config.Physical -> acc
-      in
-      match Mvstore.latest_before t.store key ~rs:Types.infinity_ts with
-      | Some newest -> max acc (newest.ts + 1)
-      | None -> acc)
-    base writes
+  go 0 base writes
 
 (** Write-write certification for one transaction over [writes].
 
@@ -255,47 +261,61 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
     Conflict (fst (List.hd writes))
   end
   else begin
-  let conflict = ref None in
+  (* Each written key's chain is looked up once and serves the
+     certification, the proposal and the insert. *)
+  let chains = Array.make (List.length writes) None in
+  let clash = ref false in
   let wdeps = ref Txid.Set.empty in
-  List.iter
-    (fun (key, _) ->
-      if !conflict = None && not t.config.skip_ww_check then begin
-        (match Mvstore.newest_committed t.store key with
-         | Some newest when newest.ts > rs -> conflict := Some key
-         | Some _ | None -> ());
-        if !conflict = None then
-          List.iter
-            (fun (u : Version.t) ->
-              if !conflict = None && not (Txid.equal u.writer txid) then begin
-                let stackable =
-                  if origin = t.node_id then
-                    (* Origin-side local certification: only a
-                       local-committed same-node sibling in the writer's
-                       snapshot may be overwritten; a pre-committed one
-                       is still mid-certification and conflicts. *)
-                    origin_spec
-                    && t.config.speculative_reads
-                    && Txid.origin u.writer = origin
-                    && u.state = Version.Local_committed
-                    && u.ts <= rs
-                  else
-                    (* Remote replica: only stack over declared
-                       dependencies (the origin ordered them). *)
-                    Txid.Set.mem u.writer stack_over
-                in
-                if stackable then wdeps := Txid.Set.add u.writer !wdeps
-                else conflict := Some key
-              end)
-            (Mvstore.uncommitted t.store key)
-      end)
-    writes;
-  match !conflict with
+  let visit (u : Version.t) =
+    if (not !clash) && not (Txid.equal u.writer txid) then begin
+      let stackable =
+        if origin = t.node_id then
+          (* Origin-side local certification: only a local-committed
+             same-node sibling in the writer's snapshot may be
+             overwritten; a pre-committed one is still
+             mid-certification and conflicts. *)
+          origin_spec
+          && t.config.speculative_reads
+          && Txid.origin u.writer = origin
+          && u.state = Version.Local_committed
+          && u.ts <= rs
+        else
+          (* Remote replica: only stack over declared dependencies (the
+             origin ordered them). *)
+          Txid.Set.mem u.writer stack_over
+      in
+      if stackable then wdeps := Txid.Set.add u.writer !wdeps else clash := true
+    end
+  in
+  let rec certify i = function
+    | [] -> None
+    | (key, _) :: rest ->
+      let c = Mvstore.chain_opt t.store key in
+      chains.(i) <- c;
+      (match c with
+       | Some c when not t.config.skip_ww_check -> (
+         match Chain.newest_committed c with
+         | Some newest when newest.ts > rs -> clash := true
+         | Some _ | None -> Chain.iter_uncommitted visit c)
+       | Some _ | None -> ());
+      if !clash then Some key else certify (i + 1) rest
+  in
+  match certify 0 writes with
   | Some key -> Conflict key
   | None ->
-    let ts = proposal_for t writes in
-    List.iter
-      (fun (key, value) ->
-        Mvstore.insert_version t.store key
+    (* A key without a chain gets one at its first use, in write order. *)
+    let chain_at i key =
+      match chains.(i) with
+      | Some c -> c
+      | None ->
+        let c = Mvstore.chain t.store key in
+        chains.(i) <- Some c;
+        c
+    in
+    let ts = proposal_for t writes chain_at in
+    List.iteri
+      (fun i (key, value) ->
+        Mvstore.insert_into t.store (chain_at i key)
           (Version.make ~writer:txid ~state:Version.Pre_committed ~ts ~value))
       writes;
     let keys =
@@ -339,13 +359,15 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
     (Alg. 2, replicate handler). *)
 let evict_candidates t ~writes ~except =
   let victims = ref Txid.Set.empty in
+  let visit (u : Version.t) =
+    if (not (Txid.equal u.writer except)) && Txid.origin u.writer = t.node_id then
+      victims := Txid.Set.add u.writer !victims
+  in
   List.iter
     (fun (key, _) ->
-      List.iter
-        (fun (u : Version.t) ->
-          if (not (Txid.equal u.writer except)) && Txid.origin u.writer = t.node_id then
-            victims := Txid.Set.add u.writer !victims)
-        (Mvstore.uncommitted t.store key))
+      match Mvstore.chain_opt t.store key with
+      | Some c -> Chain.iter_uncommitted visit c
+      | None -> ())
     writes;
   Txid.Set.elements !victims
 

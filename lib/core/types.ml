@@ -78,20 +78,32 @@ type tx = {
           flips the global switch mid-flight *)
   (* --- SPSI bookkeeping (Alg. 1) --- *)
   mutable ffc : int;  (** freshest final commit read from, directly or not *)
-  olcset : int Txid.Tbl.t;
+  (* lint: allow fingerprint-coverage — reaches the fingerprint through
+     olc_min; the option only defers allocating the table *)
+  mutable olcset : int Txid.Tbl.t option;
       (** oldest-local-commit set: dependee txid -> its oldest unsafe
-          ancestor's read snapshot; the sentinel ⟨⊥,∞⟩ is implicit *)
+          ancestor's read snapshot; the sentinel ⟨⊥,∞⟩ is implicit.
+          [None] while empty: most attempts never record an entry, so
+          the table is created by the first {!olc_put} *)
   mutable unsafe : bool;  (** updated some non-locally-replicated key *)
   (* --- write buffer --- *)
-  wbuf : Keyspace.Value.t KeyTbl.t;
+  (* lint: allow fingerprint-coverage — its contents reach the
+     fingerprint through the version chains; the option only defers
+     allocating the table *)
+  mutable wbuf : Keyspace.Value.t KeyTbl.t option;
+      (** [None] until the first write (read-only attempts never
+          allocate it); accessed through {!buffered}/{!buffer} *)
   (* lint: allow fingerprint-coverage — derived view of wbuf, whose
      contents reach the fingerprint through the version chains *)
   mutable wkeys : Keyspace.Key.t list;  (** reverse insertion order *)
   (* lint: allow fingerprint-coverage — cached length of wkeys *)
   mutable n_wkeys : int;  (** [List.length wkeys], maintained on insert *)
-  rset : Keyspace.Value.t KeyTbl.t;
+  (* lint: allow fingerprint-coverage — read promotion copies it into
+     wbuf; the option only defers allocating the table *)
+  mutable rset : Keyspace.Value.t KeyTbl.t option;
       (** read set with observed values (tracked only under the
-          Serializable isolation level, for read promotion) *)
+          Serializable isolation level, for read promotion); [None]
+          until the first recorded read *)
   (* lint: allow fingerprint-coverage — derived view of rset (key list
      in insertion order); rset itself drives certification *)
   mutable rset_keys : Keyspace.Key.t list;
@@ -151,12 +163,12 @@ let make_tx ~id ~origin ~rs ~start_time ~sr =
     state = Active;
     sr;
     ffc = 0;
-    olcset = Txid.Tbl.create 4;
+    olcset = None;
     unsafe = false;
-    wbuf = KeyTbl.create 8;
+    wbuf = None;
     wkeys = [];
     n_wkeys = 0;
-    rset = KeyTbl.create 8;
+    rset = None;
     rset_keys = [];
     deps = Txid.Set.empty;
     all_deps = Txid.Set.empty;
@@ -180,13 +192,70 @@ let make_tx ~id ~origin ~rs ~start_time ~sr =
 let infinity_ts = max_int
 
 (** Minimum of the OLCSet (∞ when only the sentinel remains). *)
-(* lint: allow hashtbl-order — min is order-insensitive *)
-let olc_min tx = Txid.Tbl.fold (fun _ v acc -> min v acc) tx.olcset infinity_ts
+let olc_min tx =
+  match tx.olcset with
+  | None -> infinity_ts
+  | Some s ->
+    (* lint: allow hashtbl-order — min is order-insensitive *)
+    Txid.Tbl.fold (fun _ v acc -> min v acc) s infinity_ts
 
 (** Record/refresh an OLCSet entry (Alg. 1, line 13). *)
-let olc_put tx dep_id v = Txid.Tbl.replace tx.olcset dep_id v
+let olc_put tx dep_id v =
+  match tx.olcset with
+  | Some s -> Txid.Tbl.replace s dep_id v
+  | None ->
+    let s = Txid.Tbl.create 4 in
+    Txid.Tbl.replace s dep_id v;
+    tx.olcset <- Some s
 
-let olc_remove tx dep_id = Txid.Tbl.remove tx.olcset dep_id
+let olc_remove tx dep_id =
+  match tx.olcset with Some s -> Txid.Tbl.remove s dep_id | None -> ()
+
+(** Empty the OLCSet down to the implicit sentinel. *)
+let olc_clear tx = tx.olcset <- None
+
+(** The buffered write of [key], if any (read-your-writes). *)
+let buffered tx key =
+  match tx.wbuf with None -> None | Some w -> KeyTbl.find_opt w key
+
+(** The buffered write of a key in [wkeys]. *)
+let buffered_exn tx key =
+  match tx.wbuf with None -> raise Not_found | Some w -> KeyTbl.find w key
+
+(** Buffer a write, keeping [wkeys]/[n_wkeys] in step. *)
+let buffer tx key value =
+  let w =
+    match tx.wbuf with
+    | Some w -> w
+    | None ->
+      let w = KeyTbl.create 8 in
+      tx.wbuf <- Some w;
+      w
+  in
+  if not (KeyTbl.mem w key) then begin
+    tx.wkeys <- key :: tx.wkeys;
+    tx.n_wkeys <- tx.n_wkeys + 1
+  end;
+  KeyTbl.replace w key value
+
+(** Record the first value read from [key] (Serializable read set). *)
+let record_read tx key value =
+  let r =
+    match tx.rset with
+    | Some r -> r
+    | None ->
+      let r = KeyTbl.create 8 in
+      tx.rset <- Some r;
+      r
+  in
+  if not (KeyTbl.mem r key) then begin
+    KeyTbl.replace r key value;
+    tx.rset_keys <- key :: tx.rset_keys
+  end
+
+(** The recorded value of a key in [rset_keys]. *)
+let recorded_exn tx key =
+  match tx.rset with None -> raise Not_found | Some r -> KeyTbl.find r key
 
 let is_aborted tx = match tx.state with Aborted _ -> true | _ -> false
 

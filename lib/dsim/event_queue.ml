@@ -2,31 +2,35 @@
    parent key <= child keys, comparing time first and insertion
    sequence second.
 
-   Keys live in parallel unboxed [int] arrays ([times]/[seqs]) with the
-   payloads in a parallel array, so a push allocates nothing
-   (amortized) — the previous ['a cell option array] boxed every
-   element in two heap blocks, which showed up as allocation and
-   pointer-chasing in the simulator's innermost loop.
+   The heap itself holds only unboxed [int]s, in parallel arrays: the
+   key ([times]/[seqs]), a packed routing word ([metas]) and the index
+   of the entry's payload slot ([slots]).  Payloads live in a separate
+   slot array that is written once when an event is pushed and cleared
+   once when it is popped, so sifting moves ints only.  Moving payload
+   pointers through the heap would pay OCaml's write barrier at every
+   level: the array lives in the major heap and the closures stored in
+   it are usually young.
 
-   Each entry additionally carries a packed routing word ([metas]):
-   [-1] for internal events, or [(src lsl 20) lor dst] for network
-   deliveries.  Carrying the endpoints unboxed in the queue lets the
-   run loop apply liveness checks (drop deliveries to/from crashed
-   nodes) without the per-message guard closure the engine used to
-   allocate around every send.
+   The routing word is [-1] for internal events, or
+   [(src lsl 20) lor dst] for network deliveries.  Carrying the
+   endpoints unboxed in the queue lets the run loop apply liveness
+   checks (drop deliveries to/from crashed nodes) without the
+   per-message guard closure the engine used to allocate around every
+   send.
 
-   The payload array is created lazily on the first push (using that
-   payload as the fill), so no sentinel of type ['a] is ever
-   fabricated; a freed slot keeps a reference to an element that is
-   still in the heap (or, when the queue drains empty, to the last
-   popped payload until the next push overwrites it) — at most one
-   payload is retained beyond its lifetime, never a growing set. *)
+   The slot array is an [Obj.t array] created from an immediate, so it
+   is never a flat float array whatever ['a] is, and a freed slot can
+   hold that immediate: a popped payload is never retained by the
+   queue. *)
 
 type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable metas : int array;
-  mutable payloads : 'a array;  (** [| |] until the first push *)
+  mutable slots : int array;  (** heap position -> payload slot *)
+  mutable payloads : Obj.t array;  (** payload slot -> ['a], or [empty_slot] *)
+  mutable free : int array;  (** stack of free payload slots, [0..nfree-1] *)
+  mutable nfree : int;
   mutable size : int;
   mutable next_seq : int;
   (* Lifetime accounting (a few int ops per operation, no branches on
@@ -44,6 +48,8 @@ type 'a t = {
 
 let initial_capacity = 64
 
+let empty_slot = Obj.repr 0
+
 let no_meta = -1
 
 let pack_meta ~src ~dst =
@@ -58,7 +64,10 @@ let create () =
     times = Array.make initial_capacity 0;
     seqs = Array.make initial_capacity 0;
     metas = Array.make initial_capacity no_meta;
-    payloads = [||];
+    slots = Array.make initial_capacity 0;
+    payloads = Array.make initial_capacity empty_slot;
+    free = Array.make initial_capacity 0;
+    nfree = 0;
     size = 0;
     next_seq = 0;
     pushed = 0;
@@ -72,25 +81,33 @@ let is_empty q = q.size = 0
 
 let length q = q.size
 
+let extend a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Slots in use always equal [size], and slots [0..size+nfree-1] have
+   been handed out, so a full heap has no free slot and the next fresh
+   one is [size]. *)
 let grow q =
   let cap = 2 * Array.length q.times in
-  let times = Array.make cap 0 in
-  Array.blit q.times 0 times 0 q.size;
-  q.times <- times;
-  let seqs = Array.make cap 0 in
-  Array.blit q.seqs 0 seqs 0 q.size;
-  q.seqs <- seqs;
-  let metas = Array.make cap no_meta in
-  Array.blit q.metas 0 metas 0 q.size;
-  q.metas <- metas;
-  let payloads = Array.make cap q.payloads.(0) in
-  Array.blit q.payloads 0 payloads 0 q.size;
-  q.payloads <- payloads
+  q.times <- extend q.times cap 0;
+  q.seqs <- extend q.seqs cap 0;
+  q.metas <- extend q.metas cap no_meta;
+  q.slots <- extend q.slots cap 0;
+  q.payloads <- extend q.payloads cap empty_slot;
+  q.free <- extend q.free cap 0
 
-let push_full q ~time ~seq ~meta payload =
-  if Array.length q.payloads = 0 then
-    q.payloads <- Array.make (Array.length q.times) payload
-  else if q.size = Array.length q.times then grow q;
+let push_full (q : 'a t) ~time ~seq ~meta (payload : 'a) =
+  if q.size = Array.length q.times then grow q;
+  let slot =
+    if q.nfree > 0 then begin
+      q.nfree <- q.nfree - 1;
+      q.free.(q.nfree)
+    end
+    else q.size
+  in
+  q.payloads.(slot) <- Obj.repr payload;
   q.pushed <- q.pushed + 1;
   (* Hole-based sift-up: slide larger parents down, write once. *)
   let i = ref q.size in
@@ -104,7 +121,7 @@ let push_full q ~time ~seq ~meta payload =
       q.times.(!i) <- pt;
       q.seqs.(!i) <- q.seqs.(p);
       q.metas.(!i) <- q.metas.(p);
-      q.payloads.(!i) <- q.payloads.(p);
+      q.slots.(!i) <- q.slots.(p);
       i := p
     end
     else continue := false
@@ -112,7 +129,7 @@ let push_full q ~time ~seq ~meta payload =
   q.times.(!i) <- time;
   q.seqs.(!i) <- seq;
   q.metas.(!i) <- meta;
-  q.payloads.(!i) <- payload
+  q.slots.(!i) <- slot
 
 let push q ~time payload =
   let seq = q.next_seq in
@@ -127,6 +144,8 @@ let push_msg q ~time ~src ~dst payload =
 let push_keyed q ~time ~seq ~meta payload = push_full q ~time ~seq ~meta payload
 
 let min_time q = if q.size = 0 then None else Some q.times.(0)
+
+let top_time q = if q.size = 0 then raise Not_found else q.times.(0)
 
 (** [(time, seq)] of the earliest event, if any.  The sequence number is
     the queue-local insertion counter, so it is deterministic across
@@ -162,9 +181,13 @@ let fold_keys_sorted f q acc =
     !acc
   end
 
-let pop_payload q =
+let pop_payload (q : 'a t) : 'a =
   if q.size = 0 then raise Not_found;
-  let payload = q.payloads.(0) in
+  let slot = q.slots.(0) in
+  let payload = Obj.obj q.payloads.(slot) in
+  q.payloads.(slot) <- empty_slot;
+  q.free.(q.nfree) <- slot;
+  q.nfree <- q.nfree + 1;
   q.popped_time <- q.times.(0);
   q.popped_meta <- q.metas.(0);
   let n = q.size - 1 in
@@ -173,7 +196,7 @@ let pop_payload q =
   if n > 0 then begin
     (* Move the last element into the root hole and sift it down. *)
     let mt = q.times.(n) and ms = q.seqs.(n) in
-    let mm = q.metas.(n) and mp = q.payloads.(n) in
+    let mm = q.metas.(n) and mslot = q.slots.(n) in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -193,7 +216,7 @@ let pop_payload q =
           q.times.(!i) <- q.times.(c);
           q.seqs.(!i) <- q.seqs.(c);
           q.metas.(!i) <- q.metas.(c);
-          q.payloads.(!i) <- q.payloads.(c);
+          q.slots.(!i) <- q.slots.(c);
           i := c
         end
         else continue := false
@@ -202,7 +225,7 @@ let pop_payload q =
     q.times.(!i) <- mt;
     q.seqs.(!i) <- ms;
     q.metas.(!i) <- mm;
-    q.payloads.(!i) <- mp
+    q.slots.(!i) <- mslot
   end;
   payload
 

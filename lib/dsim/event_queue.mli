@@ -41,6 +41,11 @@ val meta_dst : int -> int
 (** Earliest event time, if any. *)
 val min_time : 'a t -> int option
 
+(** Earliest event time — the allocation-free {!min_time} for the run
+    loop, which tests {!is_empty} first.
+    @raise Not_found if the queue is empty. *)
+val top_time : 'a t -> int
+
 (** [(time, seq)] of the earliest event, if any.  [seq] is the
     queue-local insertion counter: deterministic across replayed runs,
     which makes it a stable event identity for controlled schedulers. *)
@@ -56,7 +61,8 @@ val fold_keys : (int * int -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
     so fingerprints agree between the heap and the timer wheel. *)
 val fold_keys_sorted : (int -> int -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 
-(** Remove and return the earliest event as [(time, ev)].
+(** Remove and return the earliest event as [(time, ev)].  The queue
+    keeps no reference to a popped event.
     @raise Not_found if the queue is empty. *)
 val pop : 'a t -> int * 'a
 

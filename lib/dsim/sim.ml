@@ -230,11 +230,12 @@ let run ?until t =
   while !continue do
     match t.mode with
     | Heap q -> (
-      match Event_queue.min_time q with
-      | None -> continue := false
-      | Some time -> (
+      (* Hot loop: [top_time] instead of [min_time], so a popped event
+         allocates no [Some]. *)
+      if Event_queue.is_empty q then continue := false
+      else
         match until with
-        | Some limit when time > limit ->
+        | Some limit when Event_queue.top_time q > limit ->
           t.now <- limit;
           continue := false
         | _ ->
@@ -242,7 +243,7 @@ let run ?until t =
           t.now <- Event_queue.popped_time q;
           incr processed;
           let src = Event_queue.popped_src q in
-          if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst q) then f ()))
+          if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst q) then f ())
     | Wheel w -> (
       match Wheel.min_time w with
       | None -> continue := false

@@ -168,6 +168,18 @@ let uncommitted c =
   done;
   !acc
 
+(** [List.iter f (uncommitted c)] without building the list: visits the
+    uncommitted versions newest first and stops at the first committed
+    one.  Exact only under the committed-suffix invariant (every
+    uncommitted version sits above the whole committed history), so not
+    for use while a caller has it transiently broken. *)
+let iter_uncommitted f c =
+  let i = ref (c.len - 1) in
+  while !i >= 0 && Version.is_uncommitted c.vs.(!i) do
+    f c.vs.(!i);
+    decr i
+  done
+
 (** Any version with [ts > after] (write-write certification): the
     newest version has the maximal timestamp, so this is O(1). *)
 let exists_newer_than c ~after =

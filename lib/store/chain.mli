@@ -52,8 +52,15 @@ val remove_writer : t -> Txid.t -> Version.t option
     must be followed by a [reposition] of that version. *)
 val reposition : t -> Version.t -> unit
 
-(** Uncommitted versions, newest first. *)
+(** Uncommitted versions, newest first.  A full scan: exact even while
+    the committed-suffix invariant is transiently broken. *)
 val uncommitted : t -> Version.t list
+
+(** [iter_uncommitted f c] is [List.iter f (uncommitted c)] without
+    allocating: it walks newest first and stops at the first committed
+    version, which is exact whenever the committed-suffix invariant
+    holds (see {!check_invariants}). *)
+val iter_uncommitted : (Version.t -> unit) -> t -> unit
 
 (** Any version with [ts > after] (write-write certification).  O(1). *)
 val exists_newer_than : t -> after:int -> bool

@@ -5,24 +5,42 @@
     lookup (workloads decide placement when they mint keys, mirroring
     Antidote's hash-distributed keyspace). *)
 
-module Key = struct
-  type t = { partition : int; name : string }
+module Key : sig
+  type t = private { partition : int; name : string; hash : int }
 
-  let v ~partition name = { partition; name }
+  val v : partition:int -> string -> t
+  val path : partition:int -> string list -> t
+  val partition : t -> int
+  val name : t -> string
+  val equal : t -> t -> bool
+  val compare : t -> t -> int
+  val hash : t -> int
+  val pp : Format.formatter -> t -> unit
+  val to_string : t -> string
+end = struct
+  (* [hash] is computed once, at construction, because the store's key
+     tables hash keys on every read and certification step.  It must be
+     exactly [Hashtbl.hash (partition, name)]: it fixes those tables'
+     bucket layout, hence their iteration order. *)
+  type t = { partition : int; name : string; hash : int }
+
+  let v ~partition name = { partition; name; hash = Hashtbl.hash (partition, name) }
 
   (** Compose a name from path-like components: [path ~partition ["order"; "3"; "7"]]. *)
-  let path ~partition parts = { partition; name = String.concat "/" parts }
+  let path ~partition parts = v ~partition (String.concat "/" parts)
 
   let partition k = k.partition
   let name k = k.name
 
-  let equal a b = a.partition = b.partition && String.equal a.name b.name
+  let equal a b =
+    a == b || (a.hash = b.hash && a.partition = b.partition && String.equal a.name b.name)
+
   let compare a b =
     match compare a.partition b.partition with
     | 0 -> String.compare a.name b.name
     | c -> c
 
-  let hash a = Hashtbl.hash (a.partition, a.name)
+  let hash a = a.hash
 
   let pp ppf k = Format.fprintf ppf "%d:%s" k.partition k.name
   let to_string k = Printf.sprintf "%d:%s" k.partition k.name

@@ -115,9 +115,11 @@ let latest_committed_before t key ~rs =
 let newest_committed t key =
   match chain_opt t key with None -> None | Some c -> Chain.newest_committed c
 
-let insert_version t key v =
-  Chain.insert (chain t key) v;
+let insert_into t c v =
+  Chain.insert c v;
   account_insert t v
+
+let insert_version t key v = insert_into t (chain t key) v
 
 let find_version t key txid =
   match chain_opt t key with None -> None | Some c -> Chain.find_writer c txid

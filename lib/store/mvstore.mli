@@ -35,6 +35,11 @@ val latest_before : t -> Key.t -> rs:int -> Version.t option
 val latest_committed_before : t -> Key.t -> rs:int -> Version.t option
 val newest_committed : t -> Key.t -> Version.t option
 val insert_version : t -> Key.t -> Version.t -> unit
+
+(** [insert_version] into a chain the caller already looked up with
+    {!chain} or {!chain_opt} on this store. *)
+val insert_into : t -> Chain.t -> Version.t -> unit
+
 val find_version : t -> Key.t -> Txid.t -> Version.t option
 val remove_version : t -> Key.t -> Txid.t -> unit
 val reposition : t -> Key.t -> Version.t -> unit

@@ -4,14 +4,18 @@
     per-node sequence number.  Identifiers are totally ordered (node
     first) so they can key ordered containers deterministically. *)
 
-type t = { origin : int; number : int }
+(* [hash] is computed once, at construction, and must be exactly
+   [Hashtbl.hash (origin, number)]: it fixes every [Tbl]'s bucket
+   layout, hence its iteration order, which reaches event order and the
+   fingerprint goldens. *)
+type t = { origin : int; number : int; hash : int }
 
-let make ~origin ~number = { origin; number }
+let make ~origin ~number = { origin; number; hash = Hashtbl.hash (origin, number) }
 
 let origin t = t.origin
 let number t = t.number
 
-let equal a b = a.origin = b.origin && a.number = b.number
+let equal a b = a == b || (a.number = b.number && a.origin = b.origin)
 
 let compare a b =
   match Int.compare a.origin b.origin with
@@ -22,7 +26,7 @@ let compare a b =
    arguments below visibly do not capture the polymorphic [compare]. *)
 let compare_id = compare
 
-let hash t = Hashtbl.hash (t.origin, t.number)
+let hash t = t.hash
 
 let pp ppf t = Format.fprintf ppf "tx%d.%d" t.origin t.number
 let to_string t = Printf.sprintf "tx%d.%d" t.origin t.number

@@ -243,6 +243,48 @@ let test_event_queue_accounting () =
   Alcotest.(check int) "drained pops" 6 (EQ.pops q);
   Alcotest.(check int) "max depth unchanged by drain" 5 (EQ.max_depth q)
 
+(* Popped payloads must not stay reachable from the queue: the heap
+   moves slot indices and a pop clears its payload slot, so after a
+   major collection every popped payload is gone — including the last
+   one of a drained queue. *)
+let test_event_queue_no_retention () =
+  let n = 64 in
+  let q = EQ.create () in
+  let weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let payload = Bytes.make 16 (Char.chr (65 + (i mod 26))) in
+    Weak.set weak i (Some payload);
+    EQ.push q ~time:(i * 7919 mod 101) payload
+  done;
+  let live () =
+    Gc.full_major ();
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if Weak.check weak i then incr k
+    done;
+    !k
+  in
+  for _ = 1 to n / 2 do
+    ignore (Sys.opaque_identity (EQ.pop_payload q))
+  done;
+  Alcotest.(check int) "only queued payloads survive" (n - (n / 2)) (live ());
+  while not (EQ.is_empty q) do
+    ignore (Sys.opaque_identity (EQ.pop_payload q))
+  done;
+  Alcotest.(check int) "drained queue retains nothing" 0 (live ());
+  ignore (Sys.opaque_identity q)
+
+(* Payload slots are never a flat float array, whatever the element
+   type. *)
+let test_event_queue_float_payloads () =
+  let q = EQ.create () in
+  List.iter (fun t -> EQ.push q ~time:t (float_of_int t +. 0.5)) [ 30; 10; 20; 10 ];
+  let popped = List.init 4 (fun _ -> EQ.pop q) in
+  Alcotest.(check (list (pair int (float 0.))))
+    "times and payloads"
+    [ (10, 10.5); (10, 10.5); (20, 20.5); (30, 30.5) ]
+    popped
+
 (* --- wheel vs heap differential oracle --- *)
 
 module Wheel = Dsim.Wheel
@@ -475,6 +517,25 @@ let prop_rng_bounds =
       let v = Dsim.Rng.int rng n in
       v >= 0 && v < n)
 
+(* The splitmix64 stream is pinned: every simulated outcome (and every
+   golden) depends on it, whatever representation holds the state. *)
+let test_rng_stream_pinned () =
+  let r = Dsim.Rng.create ~seed:42 in
+  Alcotest.(check (list int))
+    "next"
+    [ 3419864383188818853; 737456523031723072; 1284820937115690964; 1587299515064563941 ]
+    (List.init 4 (fun _ -> Dsim.Rng.next r));
+  let s = Dsim.Rng.split r in
+  Alcotest.(check (list int))
+    "split"
+    [ 2619031928605061365; 1637620240679676905 ]
+    (List.init 2 (fun _ -> Dsim.Rng.next s));
+  Alcotest.(check (float 0.)) "float" 0x1.bc8863f47901bp-1 (Dsim.Rng.float r);
+  Alcotest.(check int) "int" 231 (Dsim.Rng.int r 1000);
+  Alcotest.(check bool) "bool" false (Dsim.Rng.bool r);
+  Alcotest.(check int) "negative seed" 1947672806076484188
+    (Dsim.Rng.next (Dsim.Rng.create ~seed:(-7)))
+
 let prop_rng_deterministic =
   QCheck.Test.make ~name:"rng is deterministic per seed" ~count:100 QCheck.int
     (fun seed ->
@@ -495,6 +556,9 @@ let () =
         [
           Alcotest.test_case "fifo at equal times" `Quick test_event_order;
           Alcotest.test_case "push/pop/depth accounting" `Quick test_event_queue_accounting;
+          Alcotest.test_case "popped payloads not retained" `Quick
+            test_event_queue_no_retention;
+          Alcotest.test_case "float payloads" `Quick test_event_queue_float_payloads;
           QCheck_alcotest.to_alcotest prop_event_queue_sorted;
         ] );
       ( "wheel",
@@ -549,6 +613,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_rng_bounds;
           QCheck_alcotest.to_alcotest prop_rng_deterministic;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
           QCheck_alcotest.to_alcotest prop_rng_float_unit;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           QCheck_alcotest.to_alcotest prop_rng_shuffle_is_permutation;

@@ -145,6 +145,27 @@ let test_key_basics () =
   Alcotest.(check bool) "differ by partition" false
     (Key.equal k (Key.v ~partition:4 "order/1/2"))
 
+(* The cached hashes must equal [Hashtbl.hash] of the fields: they fix
+   every key table's bucket layout, hence its iteration order and the
+   goldens. *)
+let test_cached_hashes () =
+  List.iter
+    (fun (partition, name) ->
+      Alcotest.(check int)
+        (Printf.sprintf "Key.hash %d:%s" partition name)
+        (Hashtbl.hash (partition, name))
+        (Key.hash (Key.v ~partition name)))
+    [ (0, ""); (3, "order/1/2"); (-1, "x"); (8, String.make 300 'k') ];
+  Alcotest.(check int) "Key.path hash" (Hashtbl.hash (3, "order/1/2"))
+    (Key.hash (Key.path ~partition:3 [ "order"; "1"; "2" ]));
+  List.iter
+    (fun (origin, number) ->
+      Alcotest.(check int)
+        (Printf.sprintf "Txid.hash %d.%d" origin number)
+        (Hashtbl.hash (origin, number))
+        (Txid.hash (Txid.make ~origin ~number)))
+    [ (-1, 0); (0, 1); (8, 123_456); (max_int, min_int) ]
+
 (* --- properties --- *)
 
 (* Protocol-plausible version mix: uncommitted (speculative) versions
@@ -204,6 +225,20 @@ let prop_prune_keeps_visibility =
         (match Chain.newest_committed c with
          | Some v' -> v'.Version.ts = v.Version.ts
          | None -> false))
+
+let prop_iter_uncommitted =
+  QCheck.Test.make ~name:"iter_uncommitted visits exactly uncommitted, in order"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) version_gen))
+    (fun versions ->
+      let c = Chain.create () in
+      List.iter (Chain.insert c) versions;
+      QCheck.assume (Chain.check_invariants c = Ok ());
+      let visited = ref [] in
+      Chain.iter_uncommitted (fun v -> visited := v :: !visited) c;
+      let expect = Chain.uncommitted c in
+      List.length expect = List.length !visited
+      && List.for_all2 ( == ) expect (List.rev !visited))
 
 (* --- committed-suffix invariant --- *)
 
@@ -466,6 +501,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_chain_sorted;
           QCheck_alcotest.to_alcotest prop_latest_before_correct;
           QCheck_alcotest.to_alcotest prop_prune_keeps_visibility;
+          QCheck_alcotest.to_alcotest prop_iter_uncommitted;
           Alcotest.test_case "committed-suffix invariant" `Quick
             test_chain_committed_suffix;
           QCheck_alcotest.to_alcotest prop_chain_differential;
@@ -490,5 +526,6 @@ let () =
         [
           Alcotest.test_case "values" `Quick test_value_accessors;
           Alcotest.test_case "keys" `Quick test_key_basics;
+          Alcotest.test_case "cached hashes" `Quick test_cached_hashes;
         ] );
     ]
