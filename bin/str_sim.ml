@@ -149,7 +149,7 @@ let run_openloop ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~s
 
 let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
     crash crash_at_ms recover_at_ms batch_window batch_max timeseries_us_arg
-    timeseries_csv trace_file trace_jsonl =
+    timeseries_csv trace_file trace_jsonl () =
   (* Asking for the CSV without an interval means "record at the default
      interval". *)
   let timeseries_us =
@@ -363,12 +363,27 @@ let run_cmd =
             "Write the snapshot series to $(docv) as CSV (implies \
              $(b,--timeseries-us) at 500ms when no interval was given).")
   in
+  let hostprof =
+    Arg.(
+      value
+      & opt ~vopt:(Some 20) (some int) None
+      & info [ "hostprof" ] ~docv:"N"
+          ~doc:
+            "Sample the host call stack on SIGPROF (1 ms of process CPU time) \
+             while the simulation runs, and print the $(docv) frames with the \
+             most self samples under the event loop (default 20), each with its \
+             three most frequent callers.  Simulated results are unaffected.")
+  in
+  let profiled top sim =
+    match top with None -> sim () | Some top -> Hostprof.run ~top sim
+  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a single simulation and print its metrics")
     Term.(
-      const run_custom $ protocol $ workload $ clients $ seconds $ warmup $ seed
-      $ arrival_rate $ wheel $ crash $ crash_at_ms $ recover_at_ms $ batch_window
-      $ batch_max $ timeseries_us $ timeseries_csv $ trace_arg $ trace_jsonl_arg)
+      const profiled $ hostprof
+      $ (const run_custom $ protocol $ workload $ clients $ seconds $ warmup $ seed
+        $ arrival_rate $ wheel $ crash $ crash_at_ms $ recover_at_ms $ batch_window
+        $ batch_max $ timeseries_us $ timeseries_csv $ trace_arg $ trace_jsonl_arg))
 
 let () =
   let open Harness.Experiments in

@@ -1405,18 +1405,22 @@ let commit eng tx =
           let snd = eng.nodes.(slave) in
           let snd_epoch = snd.epoch in
           let srv = server eng ~node:slave ~partition:p in
+          let dcost = eng.config.Config.cost_prepare_key * nw in
+          let dreq =
+            {
+              Partition_server.btxid = tx.id;
+              borigin = tx.origin;
+              brs = tx.rs;
+              bwrites = writes;
+              bstack_over = declared_deps;
+              bchains = [||];
+            }
+          in
           Dispatch_prepare
             {
-              dcost = eng.config.Config.cost_prepare_key * nw;
+              dcost;
               dsrv = srv;
-              dreq =
-                {
-                  Partition_server.btxid = tx.id;
-                  borigin = tx.origin;
-                  brs = tx.rs;
-                  bwrites = writes;
-                  bstack_over = declared_deps;
-                };
+              dreq;
               dpre =
                 (fun () ->
                   eng.nodes.(tx.origin).epoch = origin_epoch && snd.epoch = snd_epoch
@@ -1429,7 +1433,7 @@ let commit eng tx =
                            match Txid.Tbl.find_opt snd.active victim with
                            | Some vtx -> abort_tx eng vtx Evicted
                            | None -> ())
-                         (Partition_server.evict_candidates srv ~writes ~except:tx.id);
+                         (Partition_server.evict_candidates srv dreq);
                        true
                      end);
               dpost =
@@ -1482,6 +1486,7 @@ let commit eng tx =
                       brs = tx.rs;
                       bwrites = writes;
                       bstack_over = declared_deps;
+                      bchains = [||];
                     };
                   dpre =
                     (fun () ->

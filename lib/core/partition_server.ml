@@ -17,6 +17,13 @@ open Store
 module Key = Keyspace.Key
 module Value = Keyspace.Value
 
+(** A transaction's prepared writes at this replica, with each written
+    key's chain, so the lifecycle transitions do no key lookups.
+    [hchains.(i)] is the chain of the [i]-th key of [hwrites] (the
+    certification's lookup array; every entry is [Some] once the
+    prepare succeeded). *)
+type held = { hwrites : (Key.t * Value.t) list; hchains : Chain.t option array }
+
 type t = {
   sim : Dsim.Sim.t;
   clock : Dsim.Clock.t;
@@ -32,7 +39,7 @@ type t = {
   tid : int;  (** trace thread id of this replica *)
   holds : int Txid.Tbl.t;
       (** open lock-hold span per pending transaction (tracing only) *)
-  pending : Key.t array Txid.Tbl.t;  (** keys this replica holds uncommitted, per tx *)
+  pending : held Txid.Tbl.t;  (** what this replica holds uncommitted, per tx *)
   tombstones : unit Txid.Tbl.t;
       (** aborts that arrived before the corresponding replicate (an
           abort from the coordinator can race a prepare forwarded by the
@@ -99,7 +106,7 @@ let blocked_reads t = t.blocked_reads
 
 let pending_keys t txid =
   match Txid.Tbl.find_opt t.pending txid with
-  | Some ks -> Array.to_list ks
+  | Some h -> List.map fst h.hwrites
   | None -> []
 
 (** Number of keys this replica holds uncommitted for [txid].  O(1);
@@ -107,7 +114,7 @@ let pending_keys t txid =
     list. *)
 let pending_key_count t txid =
   match Txid.Tbl.find_opt t.pending txid with
-  | Some ks -> Array.length ks
+  | Some h -> Array.length h.hchains
   | None -> 0
 
 let has_tx t txid = Txid.Tbl.mem t.pending txid
@@ -145,8 +152,7 @@ let read ?(allow_spec = true) ?(reader = (min_int, min_int)) t ~rs ~reader_origi
     let d = Dsim.Clock.delay_until t.clock rs in
     if d > 0 then Dsim.Sim.schedule t.sim ~delay:d serve
     else begin
-      Mvstore.bump_last_reader t.store key rs;
-      match Mvstore.latest_before t.store key ~rs with
+      match Mvstore.read_at t.store key ~rs with
       | None -> reply { value = None; src = `Missing; writer = None }
       | Some v ->
         (match v.state with
@@ -209,18 +215,20 @@ type prepare_outcome =
     [max(LastReader(k) + 1)] over the written keys; Physical clocks
     propose the replica's current physical time.  Both are raised above
     any version already in the chains, preserving chain order.
-    [chain_at i key] is the chain of the [i]-th written key. *)
+    [chain_at i key] is the chain of the [i]-th written key, which
+    carries the key's [LastReader]. *)
 let proposal_for t writes chain_at =
   let rec go i acc = function
     | [] -> acc
     | (key, _) :: rest ->
+      let c = chain_at i key in
       let acc =
         match t.config.clocks with
-        | Config.Precise -> Int.max acc (Mvstore.last_reader t.store key + 1)
+        | Config.Precise -> Int.max acc (Chain.last_reader c + 1)
         | Config.Physical -> acc
       in
       let acc =
-        match Chain.newest (chain_at i key) with
+        match Chain.newest c with
         | Some newest -> Int.max acc (newest.ts + 1)
         | None -> acc
       in
@@ -253,17 +261,23 @@ let proposal_for t writes chain_at =
       deliver their prepares in order.  This is what lets a node
       pipeline a chain of speculative transactions through global
       certification, without trusting anything the origin did not
-      actually order (e.g. across a speculation on/off toggle). *)
-let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin ~rs
-    ~writes =
+      actually order (e.g. across a speculation on/off toggle).
+
+    A non-empty [chains] holds the written keys' chains already looked
+    up on this replica ([None] entries are looked up again: the key may
+    have gained a chain since). *)
+let prepare_with ~chains ~stack_over ~origin_spec t ~txid ~origin ~rs ~writes =
   if Txid.Tbl.mem t.tombstones txid then begin
     Txid.Tbl.remove t.tombstones txid;
     Conflict (fst (List.hd writes))
   end
   else begin
   (* Each written key's chain is looked up once and serves the
-     certification, the proposal and the insert. *)
-  let chains = Array.make (List.length writes) None in
+     certification, the proposal, the insert and every later transition
+     of the transaction here. *)
+  let chains =
+    if Array.length chains = 0 then Array.make (List.length writes) None else chains
+  in
   let clash = ref false in
   let wdeps = ref Txid.Set.empty in
   let visit (u : Version.t) =
@@ -290,8 +304,14 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
   let rec certify i = function
     | [] -> None
     | (key, _) :: rest ->
-      let c = Mvstore.chain_opt t.store key in
-      chains.(i) <- c;
+      let c =
+        match chains.(i) with
+        | Some _ as c -> c
+        | None ->
+          let c = Mvstore.chain_opt t.store key in
+          chains.(i) <- c;
+          c
+      in
       (match c with
        | Some c when not t.config.skip_ww_check -> (
          match Chain.newest_committed c with
@@ -318,17 +338,7 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
         Mvstore.insert_into t.store (chain_at i key)
           (Version.make ~writer:txid ~state:Version.Pre_committed ~ts ~value))
       writes;
-    let keys =
-      (* build the key array directly — [Array.of_list (List.map ...)]
-         would allocate a second, intermediate list per prepare *)
-      match writes with
-      | [] -> [||]
-      | (k0, _) :: _ ->
-        let a = Array.make (List.length writes) k0 in
-        List.iteri (fun i (k, _) -> a.(i) <- k) writes;
-        a
-    in
-    Txid.Tbl.replace t.pending txid keys;
+    Txid.Tbl.replace t.pending txid { hwrites = writes; hchains = chains };
     (* The lock-hold span runs from a successful prepare until the
        decision releases the written keys — the lock hold time whose
        distribution the convoy-effect report compares against the RTT. *)
@@ -341,7 +351,7 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
        versions, drop committed versions older than the horizon (no live
        snapshot can be that old: transactions span at most a couple of
        WAN round trips). *)
-    t.inserts_since_prune <- t.inserts_since_prune + Array.length keys;
+    t.inserts_since_prune <- t.inserts_since_prune + Array.length chains;
     if
       t.config.prune_every_inserts > 0
       && t.inserts_since_prune >= t.config.prune_every_inserts
@@ -353,38 +363,49 @@ let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin
     Prepared { ts; wdeps = Txid.Set.elements !wdeps }
   end
 
-(** Local speculative transactions of {e this} node whose uncommitted
-    versions conflict with an incoming remote prepare; the engine aborts
-    them (and their dependents) before installing the remote prepare
-    (Alg. 2, replicate handler). *)
-let evict_candidates t ~writes ~except =
-  let victims = ref Txid.Set.empty in
-  let visit (u : Version.t) =
-    if (not (Txid.equal u.writer except)) && Txid.origin u.writer = t.node_id then
-      victims := Txid.Set.add u.writer !victims
-  in
-  List.iter
-    (fun (key, _) ->
-      match Mvstore.chain_opt t.store key with
-      | Some c -> Chain.iter_uncommitted visit c
-      | None -> ())
-    writes;
-  Txid.Set.elements !victims
+let prepare ?(stack_over = Txid.Set.empty) ?(origin_spec = true) t ~txid ~origin ~rs
+    ~writes =
+  prepare_with ~chains:[||] ~stack_over ~origin_spec t ~txid ~origin ~rs ~writes
 
 (** A prepare carried inside a coalesced flush: the exact argument
     bundle of {!prepare}, reified so the engine can queue it and the
-    server can certify it later without re-marshalling. *)
+    server can certify it later without re-marshalling.  [bchains]
+    carries the chains {!evict_candidates} looked up to {!prepare_req}. *)
 type batch_req = {
   btxid : Txid.t;
   borigin : int;
   brs : int;
   bwrites : (Key.t * Value.t) list;
   bstack_over : Txid.Set.t;
+  mutable bchains : Chain.t option array;
 }
 
+(** Local speculative transactions of {e this} node whose uncommitted
+    versions conflict with the incoming remote prepare [r]; the engine
+    aborts them (and their dependents) before installing the remote
+    prepare (Alg. 2, replicate handler).  The chains looked up here are
+    kept in [r] for its certification. *)
+let evict_candidates t r =
+  let victims = ref Txid.Set.empty in
+  let visit (u : Version.t) =
+    if (not (Txid.equal u.writer r.btxid)) && Txid.origin u.writer = t.node_id then
+      victims := Txid.Set.add u.writer !victims
+  in
+  let chains = Array.make (List.length r.bwrites) None in
+  List.iteri
+    (fun i (key, _) ->
+      match Mvstore.chain_opt t.store key with
+      | Some c as found ->
+        chains.(i) <- found;
+        Chain.iter_uncommitted visit c
+      | None -> ())
+    r.bwrites;
+  r.bchains <- chains;
+  Txid.Set.elements !victims
+
 let prepare_req t r =
-  prepare ~stack_over:r.bstack_over t ~txid:r.btxid ~origin:r.borigin ~rs:r.brs
-    ~writes:r.bwrites
+  prepare_with ~chains:r.bchains ~stack_over:r.bstack_over ~origin_spec:true t
+    ~txid:r.btxid ~origin:r.borigin ~rs:r.brs ~writes:r.bwrites
 
 (** Certify one entry of an ordered batch sweep.  [sweep] identifies the
     coalesced flush this prepare arrived in; consecutive calls sharing a
@@ -423,30 +444,24 @@ let sweep_stats t = (t.cert_sweeps, t.cert_swept, Array.copy t.cert_occ)
 
 let wake (v : Version.t) = List.iter (fun k -> k ()) (Version.take_waiters v)
 
-(** When a version's timestamp rises from [above] to [floor] (local
-    commit or final commit), uncommitted successors stacked above it —
-    those with ts in (above, floor] — are displaced below it (their
-    prepare timestamps were assigned before the predecessor's final
-    timestamp existed).  Raise them back on top, preserving their stack
+(** Move [v] to timestamp [ts] in its chain [c] (local commit or final
+    commit).  Uncommitted successors stacked above it — those with ts in
+    (old ts, [ts]] — are displaced below it (their prepare timestamps
+    were assigned before the predecessor's final timestamp existed), so
+    {!Chain.restack} raises them back on top, preserving their stack
     order.  Sound because each successor's eventual commit timestamp is
     provably greater than its predecessor's (a surviving dependent has
     rs >= predecessor.ct, hence lc > ct), so the bumped positions stay
     at or below their eventual final timestamps and blocking visibility
-    is preserved.  Versions at or below [above] (the predecessors) are
-    left untouched. *)
-let restack t key ~above ~floor =
-  let displaced =
-    Mvstore.uncommitted t.store key
-    |> List.filter (fun (v : Version.t) -> v.ts > above && v.ts <= floor)
-    |> List.sort (fun (a : Version.t) (b : Version.t) -> compare a.ts b.ts)
-  in
-  let next = ref floor in
-  List.iter
-    (fun (v : Version.t) ->
-      incr next;
-      v.ts <- !next;
-      Mvstore.reposition t.store key v)
-    displaced
+    is preserved.  Versions at or below the old timestamp (the
+    predecessors) are left untouched. *)
+let transition c (v : Version.t) state ~ts =
+  let old_ts = v.ts in
+  v.state <- state;
+  v.ts <- ts;
+  Chain.reposition c v;
+  Chain.restack c ~above:old_ts ~floor:ts;
+  wake v
 
 let end_hold t txid =
   if Obs.Trace.enabled t.trace then
@@ -459,45 +474,32 @@ let end_hold t txid =
 let update_versions t txid f =
   match Txid.Tbl.find_opt t.pending txid with
   | None -> ()
-  | Some keys ->
+  | Some h ->
     Array.iter
-      (fun key ->
-        match Mvstore.find_version t.store key txid with
+      (function
         | None -> ()
-        | Some v -> f key v)
-      keys
+        | Some c -> (
+          match Chain.find_writer c txid with None -> () | Some v -> f c v))
+      h.hchains
 
 (** Convert this tx's pre-committed versions to local-committed with
     timestamp [lc]; wakes readers blocked on them (local ones may now
     read speculatively). *)
 let local_commit t txid ~lc =
-  update_versions t txid (fun key v ->
-      let old_ts = v.ts in
-      v.state <- Version.Local_committed;
-      v.ts <- lc;
-      Mvstore.reposition t.store key v;
-      restack t key ~above:old_ts ~floor:lc;
-      wake v)
+  update_versions t txid (fun c v -> transition c v Version.Local_committed ~ts:lc)
 
 (** Final commit at this replica.  The cache partition instead drops the
     versions: the authoritative committed copies live at the key's real
     replicas (Alg. 1, line 44). *)
 let commit t txid ~ct =
   if t.is_cache then begin
-    update_versions t txid (fun key v ->
-        Mvstore.remove_version t.store key txid;
-        ignore key;
+    update_versions t txid (fun c v ->
+        Mvstore.remove_from t.store c txid;
         wake v);
     Txid.Tbl.remove t.pending txid
   end
   else begin
-    update_versions t txid (fun key v ->
-        let old_ts = v.ts in
-        v.state <- Version.Committed;
-        v.ts <- ct;
-        Mvstore.reposition t.store key v;
-        restack t key ~above:old_ts ~floor:ct;
-        wake v);
+    update_versions t txid (fun c v -> transition c v Version.Committed ~ts:ct);
     Txid.Tbl.remove t.pending txid
   end;
   end_hold t txid
@@ -536,15 +538,12 @@ let abort ?(tombstone = false) t txid =
     end
   end
   else begin
-    update_versions t txid (fun key v ->
-        Mvstore.remove_version t.store key txid;
+    update_versions t txid (fun c v ->
+        Mvstore.remove_from t.store c txid;
         wake v);
     Txid.Tbl.remove t.pending txid;
     end_hold t txid
   end
-
-(** Drop old committed versions (multi-version GC). *)
-let prune t ~horizon = Mvstore.prune t.store ~horizon
 
 (* ------------------------------------------------------------------ *)
 (* Atomic-commitment recovery support                                  *)
@@ -555,10 +554,11 @@ let prune t ~horizon = Mvstore.prune t.store ~horizon
     pending for it. *)
 let pending_ts t txid =
   match Txid.Tbl.find_opt t.pending txid with
-  | None | Some [||] -> None
-  | Some keys ->
-    (match Mvstore.find_version t.store keys.(0) txid with
-     | Some v -> Some v.Version.ts
+  | Some { hchains = [||]; _ } | None -> None
+  | Some { hchains; _ } ->
+    (match hchains.(0) with
+     | Some c -> (
+       match Chain.find_writer c txid with Some v -> Some v.Version.ts | None -> None)
      | None -> None)
 
 (** Peer-evidence answer to "what happened to [txid] here?", asked over

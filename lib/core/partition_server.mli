@@ -102,13 +102,6 @@ val prepare :
   writes:(Keyspace.Key.t * Keyspace.Value.t) list ->
   prepare_outcome
 
-(** Local speculative transactions of {e this} node whose uncommitted
-    versions conflict with an incoming remote prepare; the engine aborts
-    them (and their dependents) before installing the prepare (Alg. 2,
-    replicate handler). *)
-val evict_candidates :
-  t -> writes:(Keyspace.Key.t * Keyspace.Value.t) list -> except:Txid.t -> Txid.t list
-
 (** {1 Batched certification}
 
     When the engine coalesces the commit pipeline
@@ -125,7 +118,18 @@ type batch_req = {
   brs : int;
   bwrites : (Keyspace.Key.t * Keyspace.Value.t) list;
   bstack_over : Txid.Set.t;
+  mutable bchains : Chain.t option array;
+      (** [[||]] when built; {!evict_candidates} stores the written
+          keys' chains here so certification need not look them up
+          again *)
 }
+
+(** Local speculative transactions of {e this} node whose uncommitted
+    versions conflict with the incoming remote prepare [r] (other than
+    [r]'s own); the engine aborts them (and their dependents) before
+    installing the prepare (Alg. 2, replicate handler).  Keeps the
+    chains it looked up in [r.bchains] for {!prepare_req}. *)
+val evict_candidates : t -> batch_req -> Txid.t list
 
 (** Exactly [prepare ~stack_over:r.bstack_over t ~txid:r.btxid ...] —
     the solo (unbatched) delivery path, with no sweep accounting, so a
@@ -159,9 +163,6 @@ val commit : t -> Txid.t -> ct:int -> unit
     master: a later prepare for a tombstoned transaction is refused
     instead of installing zombie versions. *)
 val abort : ?tombstone:bool -> t -> Txid.t -> unit
-
-(** Multi-version GC (also runs amortized inside [prepare]). *)
-val prune : t -> horizon:int -> int
 
 (** {1 Atomic-commitment recovery support} *)
 

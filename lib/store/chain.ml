@@ -20,21 +20,30 @@
     A slot beyond [len] may retain a stale version reference until the
     next insert overwrites it; at most a bounded number of versions is
     kept alive this way, which is irrelevant next to the chains
-    themselves. *)
+    themselves.
+
+    The record also carries two per-key words owned by {!Mvstore}: the
+    key's Precise Clocks [LastReader], so a read finds the version and
+    bumps the metadata with one key lookup, and a [slot] (the chain's
+    index in the store's prune list, or a negative mark). *)
 
 type t = {
   mutable vs : Version.t array;  (** ascending ts; only [0..len-1] live *)
   mutable len : int;
-  mutable nc : int;
-      (** cached index of the newest committed version:
-          [-1] none, [-2] dirty (recomputed lazily) *)
+  mutable last_reader : int;
+  mutable slot : int;
 }
 
-let create () = { vs = [||]; len = 0; nc = -1 }
+let create () = { vs = [||]; len = 0; last_reader = 0; slot = -1 }
 
 let is_empty c = c.len = 0
 
 let length c = c.len
+
+let last_reader c = c.last_reader
+let set_last_reader c ts = c.last_reader <- ts
+let slot c = c.slot
+let set_slot c i = c.slot <- i
 
 (** Versions, newest timestamp first (allocates; test/introspection
     support — hot paths use the index-based accessors). *)
@@ -80,23 +89,20 @@ let insert c (v : Version.t) =
   let pos = upper_bound c v.ts in
   if pos < c.len then Array.blit c.vs pos c.vs (pos + 1) (c.len - pos);
   c.vs.(pos) <- v;
-  c.len <- c.len + 1;
-  c.nc <- -2
+  c.len <- c.len + 1
 
 (** Newest version regardless of state. *)
 let newest c = if c.len = 0 then None else Some c.vs.(c.len - 1)
 
-(** Index of the newest committed version, [-1] if none (lazily cached;
-    any structural mutation invalidates it). *)
+(** Index of the newest committed version, [-1] if none.  Walks down
+    from the newest version; under the committed-suffix invariant it
+    passes only the uncommitted stack. *)
 let newest_committed_idx c =
-  if c.nc = -2 then begin
-    let i = ref (c.len - 1) in
-    while !i >= 0 && not (Version.is_committed c.vs.(!i)) do
-      decr i
-    done;
-    c.nc <- !i
-  end;
-  c.nc
+  let i = ref (c.len - 1) in
+  while !i >= 0 && not (Version.is_committed c.vs.(!i)) do
+    decr i
+  done;
+  !i
 
 (** Newest committed version. *)
 let newest_committed c =
@@ -140,7 +146,6 @@ let remove_at c i =
   (* Drop the stale tail reference (point it at a version that is live
      anyway, so nothing is retained beyond the chain itself). *)
   if c.len > 0 then c.vs.(c.len) <- c.vs.(0);
-  c.nc <- -2;
   v
 
 (** Remove [txid]'s version, returning it (accounting support). *)
@@ -151,7 +156,7 @@ let remove_writer c txid =
 (** Reposition a version after its timestamp was bumped (pre-commit ->
     local-commit -> commit transitions only increase timestamps).  Must
     be called after any externally performed [ts]/[state] mutation; the
-    newest-committed cache relies on it. *)
+    binary searches rely on it. *)
 let reposition c (v : Version.t) =
   let i = ref (c.len - 1) in
   while !i >= 0 && c.vs.(!i) != v do
@@ -159,6 +164,39 @@ let reposition c (v : Version.t) =
   done;
   if !i >= 0 then ignore (remove_at c !i);
   insert c v
+
+(** Raise the uncommitted versions displaced into [(above, floor]] back
+    above [floor], one timestamp step each, in the order
+    [uncommitted c |> filter (above, floor] |> stable sort by ts] gives:
+    ascending timestamp, and among equal timestamps the newest position
+    first.  The chain is sorted, so the displaced versions lie in the
+    index range found by two binary searches; each one moves to
+    [floor + k], above everything in the range, so the indices below the
+    one just moved stay valid.  Allocates nothing. *)
+let restack c ~above ~floor =
+  let hi = ref (upper_bound c floor) in
+  let g = ref (upper_bound c above) in
+  let next = ref floor in
+  while !g < !hi do
+    (* [g, e): the versions sharing the timestamp at [g] *)
+    let ts = c.vs.(!g).Version.ts in
+    let e = ref (!g + 1) in
+    while !e < !hi && c.vs.(!e).Version.ts = ts do
+      incr e
+    done;
+    for i = !e - 1 downto !g do
+      let v = c.vs.(i) in
+      if Version.is_uncommitted v then begin
+        ignore (remove_at c i);
+        incr next;
+        v.ts <- !next;
+        insert c v;
+        decr e;
+        decr hi
+      end
+    done;
+    g := !e
+  done
 
 (** Uncommitted versions, newest first. *)
 let uncommitted c =
@@ -207,8 +245,7 @@ let prune ?(on_drop = fun (_ : Version.t) -> ()) c ~horizon =
       for i = !w to c.len - 1 do
         c.vs.(i) <- c.vs.(0)
       done;
-    c.len <- !w;
-    c.nc <- -2
+    c.len <- !w
   end;
   dropped
 

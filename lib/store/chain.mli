@@ -7,12 +7,27 @@
     Backed by a growable array sorted by timestamp: appending the
     newest version (the protocol's common case) is O(1) amortized, the
     snapshot lookups are binary searches, and {!length}/{!newest}/
-    {!exists_newer_than} are O(1).  The newest-committed version is
-    tracked by a lazily maintained cached index. *)
+    {!exists_newer_than} are O(1).  The newest committed version is
+    found by walking down the uncommitted stack.
+
+    Each chain also carries its key's Precise Clocks [LastReader] and
+    one word for the owning store; {!Mvstore} maintains both. *)
 
 type t
 
 val create : unit -> t
+
+(** The key's [LastReader] (0 until a read raises it). *)
+val last_reader : t -> int
+
+val set_last_reader : t -> int -> unit
+
+(** The owning store's word: [-1] on a fresh chain.  {!Mvstore} keeps
+    the chain's prune-list index there, or a negative mark. *)
+val slot : t -> int
+
+val set_slot : t -> int -> unit
+
 val is_empty : t -> bool
 
 (** O(1). *)
@@ -51,6 +66,15 @@ val remove_writer : t -> Txid.t -> Version.t option
     transition.  Any external mutation of a version's [ts] or [state]
     must be followed by a [reposition] of that version. *)
 val reposition : t -> Version.t -> unit
+
+(** [restack c ~above ~floor] raises the uncommitted versions with
+    [above < ts <= floor] to [floor + 1], [floor + 2], ... — ascending
+    timestamp, newest position first among equal timestamps — and
+    repositions each.  Binary-searches the range and allocates nothing.
+    Needs the chain sorted, which every mutation followed by
+    {!reposition} leaves it; the committed-suffix invariant may be
+    broken. *)
+val restack : t -> above:int -> floor:int -> unit
 
 (** Uncommitted versions, newest first.  A full scan: exact even while
     the committed-suffix invariant is transiently broken. *)

@@ -233,6 +233,17 @@ let test_local_reader_speculates_after_lc () =
 
 (* --- eviction + tombstones -------------------------------------------- *)
 
+let evict_candidates server ~writes ~except =
+  PS.evict_candidates server
+    {
+      PS.btxid = except;
+      borigin = Txid.origin except;
+      brs = 100;
+      bwrites = writes;
+      bstack_over = Txid.Set.empty;
+      bchains = [||];
+    }
+
 let test_evict_candidates_local_only () =
   let _, server = make_server ~node_id:3 () in
   (* A local (node 3) speculative version and a foreign one. *)
@@ -241,7 +252,7 @@ let test_evict_candidates_local_only () =
    | PS.Conflict _ -> Alcotest.fail "prepare 1");
   PS.local_commit server (txid ~origin:3 1) ~lc:50;
   let victims =
-    PS.evict_candidates server
+    evict_candidates server
       ~writes:[ (key "a", Value.Int 9) ]
       ~except:(txid ~origin:7 99)
   in
@@ -249,7 +260,7 @@ let test_evict_candidates_local_only () =
   Alcotest.(check bool) "the local tx" true (Txid.equal (List.hd victims) (txid ~origin:3 1));
   (* Non-conflicting write: no victims. *)
   let none =
-    PS.evict_candidates server ~writes:[ (key "b", Value.Int 9) ] ~except:(txid ~origin:7 99)
+    evict_candidates server ~writes:[ (key "b", Value.Int 9) ] ~except:(txid ~origin:7 99)
   in
   Alcotest.(check int) "no victim" 0 (List.length none)
 

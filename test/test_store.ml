@@ -88,7 +88,7 @@ let test_mvstore_prune () =
   Alcotest.(check int) "old versions dropped" 5 dropped;
   (* The newest committed version always survives. *)
   Alcotest.(check bool) "latest still visible" true
-    (match Mvstore.newest_committed s k with
+    (match Chain.newest_committed (Mvstore.chain s k) with
      | Some v -> v.Version.ts = 80
      | None -> false)
 
@@ -100,8 +100,9 @@ let test_mvstore_insert_find_remove () =
   in
   Mvstore.insert_version s k v;
   Alcotest.(check bool) "findable" true (Mvstore.find_version s k (txid 9) <> None);
-  Alcotest.(check int) "uncommitted listed" 1 (List.length (Mvstore.uncommitted s k));
-  Mvstore.remove_version s k (txid 9);
+  Alcotest.(check int) "uncommitted listed" 1
+    (List.length (Chain.uncommitted (Mvstore.chain s k)));
+  Mvstore.remove_from s (Mvstore.chain s k) (txid 9);
   Alcotest.(check bool) "gone" true (Mvstore.find_version s k (txid 9) = None)
 
 let test_placement_ring () =
@@ -423,6 +424,244 @@ let prop_chain_differential =
     (QCheck.make QCheck.Gen.(list_size (int_range 0 60) chain_op_gen))
     run_chain_differential
 
+(* --- restack: range scan vs the list-based original --- *)
+
+(* The restack the partition server ran before [Chain.restack]: every
+   uncommitted version, filtered to the displaced range, stably sorted by
+   timestamp, each raised and repositioned in turn. *)
+let ref_restack c ~above ~floor =
+  let displaced =
+    Chain.uncommitted c
+    |> List.filter (fun (v : Version.t) -> v.ts > above && v.ts <= floor)
+    |> List.sort (fun (a : Version.t) (b : Version.t) -> compare a.ts b.ts)
+  in
+  let next = ref floor in
+  List.iter
+    (fun (v : Version.t) ->
+      incr next;
+      v.ts <- !next;
+      Chain.reposition c v)
+    displaced
+
+let state_of = function
+  | 0 -> Version.Committed
+  | 1 -> Version.Local_committed
+  | _ -> Version.Pre_committed
+
+(* Narrow timestamps, so equal-timestamp ties are common, and any state
+   anywhere, so uncommitted versions sit on both sides of the range. *)
+let restack_case_gen =
+  QCheck.Gen.(
+    quad
+      (list_size (int_range 0 25) (pair (int_range 0 20) (int_range 0 2)))
+      (int_range 0 22) (int_range 0 26)
+      (opt (triple (int_range 0 100) (int_range 0 2) (int_range 0 8))))
+
+let prop_restack_differential =
+  QCheck.Test.make ~name:"restack matches the filter-and-sort original" ~count:1000
+    (QCheck.make restack_case_gen)
+    (fun (spec, above, floor, transition) ->
+      let build () =
+        let c = Chain.create () in
+        List.iteri
+          (fun i (ts, st) -> Chain.insert c (mkv ~state:(state_of st) ~n:i ~ts ()))
+          spec;
+        c
+      in
+      let a = build () and b = build () in
+      let above, floor =
+        match transition with
+        | Some (pick, st, d) when spec <> [] ->
+          (* A lifecycle step: raise one version and restack behind it,
+             as local and final commit do. *)
+          let move c =
+            let vs = Array.of_list (Chain.versions c) in
+            let v = vs.(pick mod Array.length vs) in
+            let old_ts = v.Version.ts in
+            v.Version.state <- state_of st;
+            v.Version.ts <- old_ts + d;
+            Chain.reposition c v;
+            (old_ts, old_ts + d)
+          in
+          let r = move a in
+          ignore (move b);
+          r
+        | Some _ | None -> (above, floor)
+      in
+      Chain.restack a ~above ~floor;
+      ref_restack b ~above ~floor;
+      let shape c =
+        List.map
+          (fun (v : Version.t) -> (Txid.number v.writer, v.ts, v.state))
+          (Chain.versions c)
+      in
+      shape a = shape b)
+
+(* --- Mvstore against a model with a separate LastReader map --- *)
+
+type store_op =
+  | S_insert of int * int * int  (** key, ts, state selector *)
+  | S_remove of int * int  (** key, live pick *)
+  | S_read of int * int  (** key, rs *)
+  | S_bump of int * int  (** key, rs *)
+  | S_prune of int  (** horizon *)
+
+let n_model_keys = 5
+
+let store_op_gen =
+  QCheck.Gen.(
+    let k = int_range 0 (n_model_keys - 1) in
+    frequency
+      [
+        (5, map3 (fun k ts st -> S_insert (k, ts, st)) k (int_range 0 60) (int_range 0 2));
+        (2, map2 (fun k p -> S_remove (k, p)) k (int_range 0 100));
+        (3, map2 (fun k rs -> S_read (k, rs)) k (int_range 0 60));
+        (2, map2 (fun k rs -> S_bump (k, rs)) k (int_range 0 60));
+        (1, map (fun h -> S_prune h) (int_range 0 80));
+      ])
+
+(* The same mixing as [Mvstore.fingerprint], over the model. *)
+let model_fingerprint chains lr =
+  let mix h x = (h lxor x) * 0x100000001b3 in
+  let mix_string h s =
+    let h = ref (mix h (String.length s)) in
+    String.iter (fun c -> h := mix !h (Char.code c)) s;
+    !h
+  in
+  Hashtbl.fold (fun k c acc -> (k, c) :: acc) chains []
+  |> List.sort (fun (a, _) (b, _) -> Key.compare a b)
+  |> List.fold_left
+       (fun h (key, c) ->
+         let h = mix_string (mix h (Key.partition key)) (Key.name key) in
+         let h = mix h (Option.value ~default:0 (Hashtbl.find_opt lr key)) in
+         List.fold_left
+           (fun h (v : Version.t) ->
+             let h = mix h (Txid.origin v.writer) in
+             let h = mix h (Txid.number v.writer) in
+             let h =
+               mix h
+                 (match v.state with
+                  | Version.Pre_committed -> 1
+                  | Version.Local_committed -> 2
+                  | Version.Committed -> 3)
+             in
+             mix h v.ts)
+           h (Ref_chain.versions c))
+       0x811c9dc5
+
+let run_store_model ops =
+  let s = Mvstore.create () in
+  let keys =
+    Array.init n_model_keys (fun i -> Key.v ~partition:(i mod 2) (Printf.sprintf "m%d" i))
+  in
+  let chains = Hashtbl.create 8 and lr = Hashtbl.create 8 in
+  let next_writer = ref 0 in
+  let bump key rs =
+    if rs > Option.value ~default:0 (Hashtbl.find_opt lr key) then Hashtbl.replace lr key rs
+  in
+  let step = function
+    | S_insert (k, ts, st) ->
+      incr next_writer;
+      let v = mkv ~state:(state_of st) ~n:!next_writer ~ts () in
+      let key = keys.(k) in
+      let c =
+        match Hashtbl.find_opt chains key with
+        | Some c -> c
+        | None ->
+          let c = Ref_chain.create () in
+          Hashtbl.replace chains key c;
+          c
+      in
+      Ref_chain.insert c v;
+      Mvstore.insert_version s key v;
+      true
+    | S_remove (k, p) -> (
+      match Hashtbl.find_opt chains keys.(k) with
+      | Some c when Ref_chain.length c > 0 ->
+        let v = List.nth (Ref_chain.versions c) (p mod Ref_chain.length c) in
+        ignore (Ref_chain.remove_writer c v.Version.writer);
+        (match Mvstore.chain_opt s keys.(k) with
+         | Some sc -> Mvstore.remove_from s sc v.Version.writer
+         | None -> ());
+        Mvstore.find_version s keys.(k) v.Version.writer = None
+      | Some _ | None -> true)
+    | S_read (k, rs) ->
+      let key = keys.(k) in
+      bump key rs;
+      let expect =
+        match Hashtbl.find_opt chains key with
+        | Some c -> Ref_chain.latest_before c ~rs
+        | None -> None
+      in
+      same_opt (Mvstore.read_at s key ~rs) expect
+    | S_bump (k, rs) ->
+      bump keys.(k) rs;
+      Mvstore.bump_last_reader s keys.(k) rs;
+      true
+    | S_prune horizon ->
+      (* Full-table sweep in the model. *)
+      let expect = Hashtbl.fold (fun _ c n -> n + Ref_chain.prune c ~horizon) chains 0 in
+      Mvstore.prune s ~horizon = expect
+  in
+  let agree () =
+    let data =
+      Hashtbl.fold
+        (fun key c acc ->
+          List.fold_left
+            (fun acc (v : Version.t) -> acc + 16 + Value.size_bytes v.value)
+            (acc + 24 + String.length (Key.name key))
+            (Ref_chain.versions c))
+        chains 0
+    in
+    let lr_keys = Hashtbl.length lr in
+    Array.for_all
+      (fun key ->
+        Mvstore.last_reader s key = Option.value ~default:0 (Hashtbl.find_opt lr key))
+      keys
+    && Mvstore.storage_bytes s = (data, 24 * max (Hashtbl.length chains) lr_keys)
+    && Mvstore.key_count s = Hashtbl.length chains
+    && Mvstore.fingerprint s = model_fingerprint chains lr
+    && Mvstore.check_accounting s = Ok ()
+  in
+  List.for_all (fun op -> step op && agree ()) ops
+
+let prop_mvstore_model =
+  QCheck.Test.make ~name:"mvstore agrees with a separate-LastReader, full-sweep model"
+    ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 80) store_op_gen))
+    run_store_model
+
+(* The gate reports a LastReader key count or prune list gone stale. *)
+let test_mvstore_accounting_gate () =
+  let s = Mvstore.create () in
+  let k = Key.v ~partition:0 "gate" in
+  Mvstore.load s ~ts:1 ~writer:(txid 1) k (Value.Int 1);
+  Mvstore.load s ~ts:2 ~writer:(txid 2) k (Value.Int 2);
+  Mvstore.bump_last_reader s k 5;
+  Alcotest.(check bool) "consistent" true (Mvstore.check_accounting s = Ok ());
+  let c = Mvstore.chain s k in
+  Chain.set_slot c (-1);
+  Alcotest.(check bool) "unlisted multi-version chain caught" true
+    (Result.is_error (Mvstore.check_accounting s));
+  Chain.set_slot c 0;
+  Chain.set_last_reader c 0;
+  Alcotest.(check bool) "LastReader count drift caught" true
+    (Result.is_error (Mvstore.check_accounting s))
+
+(* A key read before its first write keeps its LastReader, which the
+   first write's chain then carries into the proposal and fingerprint. *)
+let test_mvstore_orphan_last_reader () =
+  let s = Mvstore.create () in
+  let k = Key.v ~partition:0 "fresh" in
+  Alcotest.(check bool) "no version yet" true (Mvstore.read_at s k ~rs:40 = None);
+  Alcotest.(check int) "remembered" 40 (Mvstore.last_reader s k);
+  Alcotest.(check int) "no chain created" 0 (Mvstore.key_count s);
+  Alcotest.(check int) "LastReader slot counted" 24 (snd (Mvstore.storage_bytes s));
+  Mvstore.load s ~ts:1 ~writer:(txid 1) k (Value.Int 1);
+  Alcotest.(check int) "moved into the chain" 40 (Chain.last_reader (Mvstore.chain s k));
+  Alcotest.(check int) "still one slot" 24 (snd (Mvstore.storage_bytes s));
+  Alcotest.(check bool) "consistent" true (Mvstore.check_accounting s = Ok ())
+
 (* --- incremental storage accounting --- *)
 
 let test_mvstore_accounting_differential () =
@@ -440,8 +679,8 @@ let test_mvstore_accounting_differential () =
   (match Mvstore.check_accounting s with
    | Ok () -> ()
    | Error e -> Alcotest.fail e);
-  Mvstore.remove_version s (key 0) (txid 100);
-  Mvstore.remove_version s (key 0) (txid 999) (* absent: no-op *);
+  Mvstore.remove_from s (Mvstore.chain s (key 0)) (txid 100);
+  Mvstore.remove_from s (Mvstore.chain s (key 0)) (txid 999) (* absent: no-op *);
   let dropped = Mvstore.prune s ~horizon:50 in
   Alcotest.(check bool) "prune dropped something" true (dropped > 0);
   Alcotest.(check int) "version_count tracks removals" (29 - dropped)
@@ -505,6 +744,7 @@ let () =
           Alcotest.test_case "committed-suffix invariant" `Quick
             test_chain_committed_suffix;
           QCheck_alcotest.to_alcotest prop_chain_differential;
+          QCheck_alcotest.to_alcotest prop_restack_differential;
         ] );
       ( "mvstore",
         [
@@ -516,6 +756,9 @@ let () =
             test_mvstore_accounting_differential;
           Alcotest.test_case "fingerprint stability" `Quick
             test_mvstore_fingerprint_stable;
+          Alcotest.test_case "orphan LastReader" `Quick test_mvstore_orphan_last_reader;
+          Alcotest.test_case "accounting gate" `Quick test_mvstore_accounting_gate;
+          QCheck_alcotest.to_alcotest prop_mvstore_model;
         ] );
       ( "placement",
         [
