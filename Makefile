@@ -32,15 +32,15 @@ mc:
 	dune build @mc
 
 # Deep crash-schedule model checking: crash-recover of a node ordered
-# against every reachable protocol point (heap + wheel), including the
-# rf=1 tree where fail-over cannot promote.  Slower than @mc.
+# against every reachable protocol point, including the rf=1 tree where
+# fail-over cannot promote.
 mc-crash:
 	dune build @mc-crash
 
 # Batched-pipeline model checking: message coalescing on (flushes are
-# ordinary explored transitions), heap + wheel, plus a crash schedule
-# where in-doubt batched prepares must resolve via AC1-AC5 and a broken
-# recovery variant that must still be caught through the batched path.
+# ordinary explored transitions), plus a crash schedule where in-doubt
+# batched prepares must resolve via AC1-AC5 and a broken recovery
+# variant that must still be caught through the batched path.
 mc-batch:
 	dune build @mc-batch
 
@@ -84,9 +84,8 @@ bench-quick:
 	./_build/default/bench/main.exe json
 
 # Million-client scale probe: one open-loop run of ~1M clients on the
-# 9-DC grid per queue structure (binary heap, then timer wheel),
-# asserting the two produce identical results, then the regular json
-# report with the scale rows (events/s, bytes/event, peak RSS) appended
+# 9-DC grid (then the same run with message coalescing on), then the
+# regular json report with the scale rows (events/s, bytes/event, peak RSS) appended
 # into the numbered trajectory slot.
 bench-scale:
 	dune build bench/main.exe

@@ -14,7 +14,7 @@
      dune exec bench/main.exe -- json [OUT]  # write OUT (default BENCH.json)
                                              # + diff baseline
      dune exec bench/main.exe -- scale [OUT] # million-client open-loop probe
-                                             # (wheel vs heap) + json rows
+                                             # + json rows
 
    -j (or STR_JOBS) fans the independent experiment cells across a
    domain pool; table output is byte-identical whatever the value. *)
@@ -434,8 +434,8 @@ let peak_rss_kb () =
     Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> scan 0)
 
 (* Arrival-heavy, contention-light: every access cold-uniform so latency
-   stays near the WAN floor and the event queue is dominated by the
-   near-horizon arrival/timer churn the wheel is built for. *)
+   stays near the WAN floor and the event queue is dominated by
+   near-horizon arrival/timer churn. *)
 let scale_params =
   {
     Workload.Synthetic.default with
@@ -447,7 +447,7 @@ let scale_params =
 
 let scale_clients_per_dc = 111_112 (* 9 DCs -> 1,000,008 clients *)
 
-let scale_setup ?(batch = false) ~queue () =
+let scale_setup ?(batch = false) () =
   let placement = Store.Placement.ring ~n_nodes:9 ~replication_factor:6 () in
   let config =
     if batch then
@@ -465,48 +465,33 @@ let scale_setup ?(batch = false) ~queue () =
     warmup_us = 300_000;
     measure_us = 700_000;
     seed = 9;
-    queue;
   }
 
-let scale_probe ?batch ~queue () =
+let scale_probe ?batch () =
   Gc.compact ();
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
-  let r = Harness.Openloop.run (scale_setup ?batch ~queue ()) in
+  let r = Harness.Openloop.run (scale_setup ?batch ()) in
   let wall = Unix.gettimeofday () -. t0 in
   let bytes = Gc.allocated_bytes () -. alloc0 in
   (r, wall, bytes)
 
 let run_scale ?(out = "BENCH.json") () =
-  Printf.eprintf "scale: open-loop, %d clients, heap...\n%!" (9 * scale_clients_per_dc);
-  let rh, wall_h, bytes_h = scale_probe ~queue:`Heap () in
-  Printf.eprintf "scale: same run on the timer wheel...\n%!";
-  let rw, wall_w, bytes_w = scale_probe ~queue:`Wheel () in
+  Printf.eprintf "scale: open-loop, %d clients...\n%!" (9 * scale_clients_per_dc);
+  let rh, wall_h, bytes_h = scale_probe () in
   Printf.eprintf "scale: same run with message coalescing on...\n%!";
-  let rb, wall_b, _ = scale_probe ~batch:true ~queue:`Heap () in
+  let rb, wall_b, _ = scale_probe ~batch:true () in
   let eps_h = float_of_int rh.Harness.Openloop.events /. wall_h in
-  let eps_w = float_of_int rw.Harness.Openloop.events /. wall_w in
-  let identical =
-    rh.Harness.Openloop.completed = rw.Harness.Openloop.completed
-    && rh.Harness.Openloop.admitted = rw.Harness.Openloop.admitted
-    && rh.Harness.Openloop.dropped = rw.Harness.Openloop.dropped
-    && rh.Harness.Openloop.events = rw.Harness.Openloop.events
-    && rh.Harness.Openloop.final_latency = rw.Harness.Openloop.final_latency
-  in
   Printf.printf
     "== scale: open-loop, %d clients on the 9-DC grid ==\n\
     \  completed %d, admitted %d, dropped %d, peak in flight %d\n\
-    \  heap : %10.0f events/s  (%.1fs wall, %.0f B/event)\n\
-    \  wheel: %10.0f events/s  (%.1fs wall, %.0f B/event)\n\
-    \  wheel/heap results identical: %b\n\
+    \  %10.0f events/s  (%.1fs wall, %.0f B/event)\n\
     \  peak RSS: %d KiB\n"
     rh.Harness.Openloop.clients rh.Harness.Openloop.completed
     rh.Harness.Openloop.admitted rh.Harness.Openloop.dropped
     rh.Harness.Openloop.peak_in_flight eps_h wall_h
     (bytes_h /. float_of_int rh.Harness.Openloop.events)
-    eps_w wall_w
-    (bytes_w /. float_of_int rw.Harness.Openloop.events)
-    identical (peak_rss_kb ());
+    (peak_rss_kb ());
   (* Batched row: the coalescing machinery at 1M-client scale.  This
      workload is arrival-heavy and contention-light, so per-link
      occupancy sits near 1 and the row prices the overhead floor
@@ -520,10 +505,6 @@ let run_scale ?(out = "BENCH.json") () =
     (float_of_int rb.Harness.Openloop.batch_payloads
     /. float_of_int (max 1 rb.Harness.Openloop.batch_flushes))
     wall_b;
-  if not identical then begin
-    prerr_endline "scale: wheel and heap runs diverged (determinism bug)";
-    exit 1
-  end;
   let row name v = { BJ.bench_name = name; ns_per_run = v } in
   let rows =
     [
@@ -534,11 +515,8 @@ let run_scale ?(out = "BENCH.json") () =
         (float_of_int rh.Harness.Openloop.peak_in_flight);
       row "openloop-1m-events" (float_of_int rh.Harness.Openloop.events);
       row "openloop-1m-heap-events-per-s" eps_h;
-      row "openloop-1m-wheel-events-per-s" eps_w;
       row "openloop-1m-heap-bytes-per-event"
         (bytes_h /. float_of_int rh.Harness.Openloop.events);
-      row "openloop-1m-wheel-bytes-per-event"
-        (bytes_w /. float_of_int rw.Harness.Openloop.events);
       row "openloop-1m-peak-rss-kb" (float_of_int (peak_rss_kb ()));
       row "openloop-1m-batch-completed" (float_of_int rb.Harness.Openloop.completed);
       row "openloop-1m-batch-events" (float_of_int rb.Harness.Openloop.events);

@@ -16,7 +16,7 @@
 
 open Cmdliner
 
-let run dcs keys txs rf broken crash_recover batching wheel max_runs max_depth
+let run dcs keys txs rf broken crash_recover batching max_runs max_depth
     expect quiet =
   let config =
     match broken with
@@ -32,9 +32,8 @@ let run dcs keys txs rf broken crash_recover batching wheel max_runs max_depth
     | None -> []
     | Some n -> [ (0, Dsim.Fault.Crash n); (0, Dsim.Fault.Recover n) ]
   in
-  let queue = if wheel then `Wheel else `Heap in
   let s =
-    try Check.Scenario.make ~rf ~config ~queue ~fault_plan ~dcs ~keys ~txs ()
+    try Check.Scenario.make ~rf ~config ~fault_plan ~dcs ~keys ~txs ()
     with Invalid_argument msg ->
       Format.eprintf "mc: %s@." msg;
       exit 2
@@ -109,16 +108,6 @@ let batching =
            transitions, and in-doubt batched prepares must still resolve \
            through the recovery protocol.")
 
-let wheel =
-  Arg.(
-    value & flag
-    & info [ "wheel" ]
-        ~doc:
-          "Create the simulator on the hierarchical timer wheel instead of the \
-           binary heap.  The explorer's controlled mode supersedes either \
-           structure, so counts must be identical — this flag exists to verify \
-           that.")
-
 let max_runs =
   Arg.(
     value & opt int 200_000
@@ -149,7 +138,7 @@ let cmd =
   Cmd.v
     (Cmd.info "mc" ~doc)
     Term.(
-      const run $ dcs $ keys $ txs $ rf $ broken $ crash_recover $ batching $ wheel
+      const run $ dcs $ keys $ txs $ rf $ broken $ crash_recover $ batching
       $ max_runs $ max_depth $ expect $ quiet)
 
 let () = exit (Cmd.eval' cmd)

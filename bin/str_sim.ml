@@ -112,7 +112,7 @@ let traced_experiment_cmd name doc f =
 (* Open-loop variant of `run`: fixed-rate Poisson injection through
    Harness.Openloop; --clients is the population per DC. *)
 let run_openloop ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~seed
-    ~rate ~wheel ?timeseries_us ~timeseries_csv () =
+    ~rate ?timeseries_us ~timeseries_csv () =
   let setup =
     {
       (Harness.Openloop.default_setup ~workload ~config) with
@@ -121,16 +121,14 @@ let run_openloop ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~s
       warmup_us = warmup * 1_000_000;
       measure_us = seconds * 1_000_000;
       seed;
-      queue = (if wheel then `Wheel else `Heap);
     }
   in
   let r = Harness.Openloop.run ?timeseries_us setup in
   (match (timeseries_csv, r.Harness.Openloop.timeseries) with
   | Some f, Some ts -> write_file f (Obs.Timeseries.to_csv ts)
   | Some _, None | None, _ -> ());
-  Printf.printf "open-loop protocol=%s workload=%s clients/DC=%d rate=%.1f tx/s/DC (%s)\n"
-    protocol wname clients rate
-    (if wheel then "wheel" else "heap");
+  Printf.printf "open-loop protocol=%s workload=%s clients/DC=%d rate=%.1f tx/s/DC\n"
+    protocol wname clients rate;
   Printf.printf "  population     : %d clients\n" r.Harness.Openloop.clients;
   Printf.printf "  throughput     : %.1f tx/s (offered %.1f)\n"
     r.Harness.Openloop.throughput
@@ -147,8 +145,7 @@ let run_openloop ~protocol ~wname ~config ~workload ~clients ~seconds ~warmup ~s
   Printf.printf "  events         : %d\n" r.Harness.Openloop.events;
   Format.printf "  stats          : %a@." Core.Stats.pp r.Harness.Openloop.stats
 
-let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
-    crash crash_at_ms recover_at_ms batch_window batch_max timeseries_us_arg
+let run_custom protocol workload clients seconds warmup seed arrival_rate crash crash_at_ms recover_at_ms batch_window batch_max timeseries_us_arg
     timeseries_csv trace_file trace_jsonl () =
   (* Asking for the CSV without an interval means "record at the default
      interval". *)
@@ -210,10 +207,8 @@ let run_custom protocol workload clients seconds warmup seed arrival_rate wheel
     if fault_plan <> [] then
       prerr_endline "note: --crash is not supported in open-loop mode; ignoring";
     run_openloop ~protocol ~wname:workload ~config ~workload:wl ~clients ~seconds
-      ~warmup ~seed ~rate ~wheel ?timeseries_us ~timeseries_csv ()
+      ~warmup ~seed ~rate ?timeseries_us ~timeseries_csv ()
   | None ->
-  if wheel then
-    prerr_endline "note: --wheel only applies with --arrival-rate; ignoring";
   let setup =
     {
       (Harness.Runner.default_setup ~workload:wl ~config) with
@@ -290,15 +285,6 @@ let run_cmd =
              transactions per second into each DC.  $(b,--clients) then sets \
              the client population per DC (arrivals finding every client busy \
              are dropped, not queued).")
-  in
-  let wheel =
-    Arg.(
-      value & flag
-      & info [ "wheel" ]
-          ~doc:
-            "Back the simulator with the hierarchical timer wheel instead of \
-             the binary heap (with $(b,--arrival-rate) only).  Results are \
-             byte-identical; only wall-clock changes.")
   in
   let crash =
     Arg.(
@@ -382,7 +368,7 @@ let run_cmd =
     Term.(
       const profiled $ hostprof
       $ (const run_custom $ protocol $ workload $ clients $ seconds $ warmup $ seed
-        $ arrival_rate $ wheel $ crash $ crash_at_ms $ recover_at_ms $ batch_window
+        $ arrival_rate $ crash $ crash_at_ms $ recover_at_ms $ batch_window
         $ batch_max $ timeseries_us $ timeseries_csv $ trace_arg $ trace_jsonl_arg))
 
 let () =

@@ -16,11 +16,6 @@ type t = {
   txs : int;
   rf : int;  (** replication factor (1 exercises the cache/unsafe path) *)
   config : Core.Config.t;
-  queue : [ `Heap | `Wheel ];
-      (** event-queue structure backing the simulator.  Irrelevant once a
-          chooser switches it to controlled mode (the lanes supersede the
-          single queue), but threading it through lets the driver verify
-          exactly that: exploration counts are identical either way. *)
   fault_plan : Dsim.Fault.plan;
       (** declarative crash/partition/loss schedule ([[]] = fault-free).
           Each planned action lands in the simulator's dedicated [Fault]
@@ -61,7 +56,7 @@ let config ?(skip_ww_check = false) ?(unsafe_speculation = false)
     Core.Config.with_batching ~batch_window_us:50 ~batch_max:4 cfg
   else cfg
 
-let make ?(rf = 1) ?config:(cfg = config ()) ?(queue = `Heap) ?(fault_plan = [])
+let make ?(rf = 1) ?config:(cfg = config ()) ?(fault_plan = [])
     ?(recovery = true) ~dcs ~keys ~txs () =
   if dcs < 2 then invalid_arg "Scenario.make: need at least 2 DCs";
   if keys < 1 || txs < 1 then invalid_arg "Scenario.make: need keys, txs >= 1";
@@ -73,7 +68,7 @@ let make ?(rf = 1) ?config:(cfg = config ()) ?(queue = `Heap) ?(fault_plan = [])
         if n < 0 || n >= dcs then invalid_arg "Scenario.make: fault node out of range"
       | _ -> ())
     fault_plan;
-  { dcs; keys; txs; rf; config = cfg; queue; fault_plan; recovery }
+  { dcs; keys; txs; rf; config = cfg; fault_plan; recovery }
 
 (** Key [i] lives on partition [i mod dcs], so consecutive keys are
     mastered by different nodes and every multi-key transaction needs
@@ -111,7 +106,7 @@ type world = {
     nothing runs until {!start}.  When [chooser] is given the simulator
     is switched to controlled mode first (before any event exists). *)
 let prepare ?chooser s =
-  let sim = Dsim.Sim.create ~queue:s.queue () in
+  let sim = Dsim.Sim.create () in
   (match chooser with Some c -> Dsim.Sim.set_chooser sim c | None -> ());
   let topology = Dsim.Topology.uniform ~dcs:s.dcs ~rtt_ms:50. ~intra_rtt_ms:0.5 in
   let node_dc = Array.init s.dcs (fun i -> i) in

@@ -9,11 +9,6 @@ type t = {
   txs : int;
   rf : int;  (** replication factor (1 exercises the cache/unsafe path) *)
   config : Core.Config.t;
-  queue : [ `Heap | `Wheel ];
-      (** event-queue structure backing the simulator (default [`Heap]).
-          A chooser supersedes either with the lane structure, so
-          exploration is identical — the knob exists so the driver can
-          demonstrate that. *)
   fault_plan : Dsim.Fault.plan;
       (** declarative crash/partition/loss schedule (default [[]]).
           Planned actions are first-class Internal-lane transitions, so
@@ -45,7 +40,6 @@ val config :
 val make :
   ?rf:int ->
   ?config:Core.Config.t ->
-  ?queue:[ `Heap | `Wheel ] ->
   ?fault_plan:Dsim.Fault.plan ->
   ?recovery:bool ->
   dcs:int ->

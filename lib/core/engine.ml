@@ -405,12 +405,7 @@ let load eng key value =
 (* ------------------------------------------------------------------ *)
 
 (** Charge [cost] microseconds on [nd]'s CPU and wait for completion. *)
-let charge nd cost =
-  if cost > 0 then begin
-    let iv = Ivar.create () in
-    Cpu.exec nd.cpu ~cost (fun () -> Ivar.fill iv ());
-    Fiber.await iv
-  end
+let charge nd cost = if cost > 0 then Fiber.suspend (fun resume -> Cpu.exec nd.cpu ~cost resume)
 
 (** Block the current fiber until [cond ()] holds; re-evaluated after
     every {!Types.notify} on [tx]. *)

@@ -2,7 +2,12 @@
 
     Events are ordered by [(time, seq)] where [seq] is a monotonically
     increasing insertion counter, so events scheduled for the same instant
-    fire in FIFO order.  This guarantees deterministic replay. *)
+    fire in FIFO order.  This guarantees deterministic replay.
+
+    Events pushed at the time of the last pop go to a FIFO ready ring,
+    the rest to a 4-ary heap; pop merges the two heads by
+    [(time, seq)], so the split is invisible through this interface:
+    every accessor and counter covers both parts. *)
 
 type 'a t
 
@@ -22,27 +27,8 @@ val push : 'a t -> time:int -> 'a -> unit
     2^20]. *)
 val push_msg : 'a t -> time:int -> src:int -> dst:int -> 'a -> unit
 
-(** [push_keyed q ~time ~seq ~meta ev] enqueues with a caller-supplied
-    sequence number and packed routing word (see {!pack_meta}).  This is
-    the timer wheel's overflow hook: the wheel numbers every event from
-    one global counter, and far-horizon events parked in a heap must
-    keep those numbers so a [(time, seq)] comparison across the two
-    structures reproduces exact heap order.  Callers must supply
-    distinct [seq] values; the queue-local counter is bypassed. *)
-val push_keyed : 'a t -> time:int -> seq:int -> meta:int -> 'a -> unit
-
-(** Packed routing word: [-1] when [src < 0] (internal event), else
-    [(src lsl 20) lor dst]. *)
-val pack_meta : src:int -> dst:int -> int
-
-val meta_src : int -> int
-val meta_dst : int -> int
-
-(** Earliest event time, if any. *)
-val min_time : 'a t -> int option
-
-(** Earliest event time — the allocation-free {!min_time} for the run
-    loop, which tests {!is_empty} first.
+(** Earliest event time, without allocating an option: the run loop
+    tests {!is_empty} first.
     @raise Not_found if the queue is empty. *)
 val top_time : 'a t -> int
 
@@ -51,14 +37,10 @@ val top_time : 'a t -> int
     which makes it a stable event identity for controlled schedulers. *)
 val peek_key : 'a t -> (int * int) option
 
-(** Fold over the [(time, seq)] keys of all queued events, in
-    unspecified (heap-internal) order — combine commutatively. *)
-val fold_keys : (int * int -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-
 (** [fold_keys_sorted f q acc] folds [f time seq] over all queued keys
-    in ascending [(time, seq)] order, independent of the backing
-    structure's internal layout.  {!Sim.pending_fingerprint} uses this
-    so fingerprints agree between the heap and the timer wheel. *)
+    in ascending [(time, seq)] order, independent of the internal
+    layout of the heap and the ring.  {!Sim.pending_fingerprint} hashes
+    this stream. *)
 val fold_keys_sorted : (int -> int -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 
 (** Remove and return the earliest event as [(time, ev)].  The queue
@@ -81,9 +63,6 @@ val popped_src : 'a t -> int
 (** Destination node of the most recently popped event, [-1] if
     internal. *)
 val popped_dst : 'a t -> int
-
-(** Packed routing word of the most recently popped event. *)
-val popped_meta : 'a t -> int
 
 (** {1 Lifetime accounting}
 

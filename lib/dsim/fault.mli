@@ -6,8 +6,8 @@
     crash-stop / crash-recover node failures.  Faults are driven by a
     declarative {!plan} — a list of [(time, action)] pairs — installed
     into the simulator's event queue, so a faulted run is exactly as
-    deterministic and replayable as a fault-free one, on the heap and
-    wheel queues alike and under the model checker's controlled mode
+    deterministic and replayable as a fault-free one, in the default
+    mode and under the model checker's controlled mode
     (where each planned action becomes one first-class internal
     transition the chooser orders against message deliveries).
 

@@ -1,6 +1,8 @@
-type _ Effect.t += Await : 'a Ivar.t -> 'a Effect.t
+type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
-let await iv = Effect.perform (Await iv)
+let suspend register = Effect.perform (Suspend register)
+
+let await iv = suspend (Ivar.on_full iv)
 
 let spawn sim f =
   let open Effect.Deep in
@@ -11,21 +13,19 @@ let spawn sim f =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Await iv ->
+          | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
                 (* Resume through the event queue rather than inline, so a
-                   fill never re-enters the filler's stack. *)
-                Ivar.on_full iv (fun v ->
-                    Sim.schedule sim ~delay:0 (fun () -> continue k v)))
+                   wake-up never re-enters the waker's stack. *)
+                match register (fun v -> Sim.schedule sim ~delay:0 (fun () -> continue k v)) with
+                | () -> ()
+                | exception e -> discontinue k e)
           | _ -> None);
     }
   in
   Sim.schedule sim ~delay:0 (fun () -> match_with f () handler)
 
-let sleep sim delay =
-  let iv = Ivar.create () in
-  Sim.schedule sim ~delay (fun () -> Ivar.fill iv ());
-  await iv
+let sleep sim delay = suspend (fun resume -> Sim.schedule sim ~delay resume)
 
 let yield sim = sleep sim 0

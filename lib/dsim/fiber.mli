@@ -11,6 +11,17 @@
     Exceptions escaping [f] propagate out of {!Sim.run} (fail fast). *)
 val spawn : Sim.t -> (unit -> unit) -> unit
 
+(** [suspend register] blocks the current fiber and calls
+    [register resume] from the fiber's handler; the fiber continues with
+    [v] one event after [resume v] is called.  The wake-up primitive
+    under {!await} and {!sleep}: a caller that only needs a callback
+    (a CPU completion, a timer) passes [resume] directly instead of
+    filling an {!Ivar.t}.  An exception raised by [register] is raised
+    in the fiber at the [suspend] call; [register] must not both call
+    [resume] and raise.  [resume] must be called at most once.  Must be
+    called from within a fiber. *)
+val suspend : (('a -> unit) -> unit) -> 'a
+
 (** Block the current fiber until the ivar is filled; returns its value.
     Must be called from within a fiber. *)
 val await : 'a Ivar.t -> 'a

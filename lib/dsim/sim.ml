@@ -1,16 +1,8 @@
-(* The engine runs in one of three modes:
+(* The engine runs in one of two modes:
 
-   - [Heap] (default): a single priority queue; events fire in strict
-     (time, insertion) order.  This is the mode every benchmark and test
-     harness uses, and its behaviour is unchanged.
-
-   - [Wheel]: the same strict (time, insertion) order served from a
-     hierarchical timer wheel ([Dsim.Wheel]) instead of the binary
-     heap — O(1) amortized for the near-horizon bulk of arrival /
-     think-time / timeout events, selected per simulator at creation
-     ([create ~queue:`Wheel ()]).  The two structures are
-     pop-for-pop identical, so everything downstream (replay, traces,
-     fingerprints) is unaffected by the choice.
+   - [Heap] (default): a single priority queue ([Dsim.Event_queue]);
+     events fire in strict (time, insertion) order.  This is the mode
+     every benchmark and test harness uses.
 
    - [Controlled]: events are split into {e lanes} — one [Internal] lane
      for timers, CPU completions and fiber wakeups, plus one lane per
@@ -63,10 +55,7 @@ type controlled = {
   chooser : candidate array -> int;
 }
 
-type mode =
-  | Heap of (unit -> unit) Event_queue.t
-  | Wheel of (unit -> unit) Wheel.t
-  | Controlled of controlled
+type mode = Heap of (unit -> unit) Event_queue.t | Controlled of controlled
 
 (* Shared default so [create] allocates no closure; replaced by
    [set_delivery_gate]. *)
@@ -78,13 +67,7 @@ type t = {
   mutable gate : src:int -> dst:int -> bool;
 }
 
-let create ?(queue = `Heap) () =
-  let mode =
-    match queue with
-    | `Heap -> Heap (Event_queue.create ())
-    | `Wheel -> Wheel (Wheel.create ())
-  in
-  { now = 0; mode; gate = gate_open }
+let create () = { now = 0; mode = Heap (Event_queue.create ()); gate = gate_open }
 
 let set_delivery_gate t gate = t.gate <- gate
 
@@ -93,7 +76,6 @@ let now t = t.now
 let pending t =
   match t.mode with
   | Heap q -> Event_queue.length q
-  | Wheel w -> Wheel.length w
   | Controlled c ->
     List.fold_left (fun acc l -> acc + Event_queue.length l.events) 0 c.lanes
 
@@ -102,14 +84,12 @@ let pending t =
 let queue_pushes t =
   match t.mode with
   | Heap q -> Event_queue.pushes q
-  | Wheel w -> Wheel.pushes w
   | Controlled c ->
     List.fold_left (fun acc l -> acc + Event_queue.pushes l.events) 0 c.lanes
 
 let queue_pops t =
   match t.mode with
   | Heap q -> Event_queue.pops q
-  | Wheel w -> Wheel.pops w
   | Controlled c ->
     List.fold_left (fun acc l -> acc + Event_queue.pops l.events) 0 c.lanes
 
@@ -118,7 +98,6 @@ let queue_pops t =
 let queue_max_depth t =
   match t.mode with
   | Heap q -> Event_queue.max_depth q
-  | Wheel w -> Wheel.max_depth w
   | Controlled c ->
     List.fold_left (fun acc l -> max acc (Event_queue.max_depth l.events)) 0 c.lanes
 
@@ -149,19 +128,17 @@ let schedule t ~delay f =
   let time = t.now + delay in
   match t.mode with
   | Heap q -> Event_queue.push q ~time f
-  | Wheel w -> Wheel.push w ~time f
   | Controlled c -> Event_queue.push (lane_for c Internal).events ~time f
 
 let schedule_at t ~time f =
   let time = if time < t.now then t.now else time in
   match t.mode with
   | Heap q -> Event_queue.push q ~time f
-  | Wheel w -> Wheel.push w ~time f
   | Controlled c -> Event_queue.push (lane_for c Internal).events ~time f
 
 (** Schedule a planned fault action.  Identical to {!schedule_at} in the
-    single-queue modes; in controlled mode the event goes to the
-    dedicated [Fault] lane, so the chooser can place each action at any
+    default mode; in controlled mode the event goes to the dedicated
+    [Fault] lane, so the chooser can place each action at any
     point relative to deliveries {e and} to internal events (fiber
     wakeups, timers) — crash points become first-class transitions
     instead of riding the Internal FIFO.  Within the lane, plan order is
@@ -170,11 +147,10 @@ let schedule_fault t ~time f =
   let time = if time < t.now then t.now else time in
   match t.mode with
   | Heap q -> Event_queue.push q ~time f
-  | Wheel w -> Wheel.push w ~time f
   | Controlled c -> Event_queue.push (lane_for c Fault).events ~time f
 
-(** Schedule a network delivery on channel [src -> dst].  In single-
-    queue modes this is {!schedule_at} plus the endpoint record the
+(** Schedule a network delivery on channel [src -> dst].  In the
+    default mode this is {!schedule_at} plus the endpoint record the
     delivery gate checks; in [Controlled] mode the event goes to the
     channel's own lane, where the chooser may defer it behind events of
     other lanes (but never behind later messages of the same
@@ -183,13 +159,12 @@ let schedule_msg t ~time ~src ~dst f =
   let time = if time < t.now then t.now else time in
   match t.mode with
   | Heap q -> Event_queue.push_msg q ~time ~src ~dst f
-  | Wheel w -> Wheel.push_msg w ~time ~src ~dst f
   | Controlled c ->
     Event_queue.push_msg (lane_for c (Chan { src; dst })).events ~time ~src ~dst f
 
 (* FNV-1a over the sorted key stream: a sequential mix is fine because
-   every backing structure now offers the same ascending (time, seq)
-   enumeration, so the hash is independent of heap/wheel internals. *)
+   the queue enumerates its keys in ascending (time, seq) order, so the
+   hash is independent of its internal layout. *)
 let fnv_offset = 0x3bf29ce484222325
 let fnv_prime = 0x100000001b3
 
@@ -204,7 +179,6 @@ let pending_fingerprint t =
   let mix_keys acc time seq = fnv (fnv acc time) seq in
   match t.mode with
   | Heap q -> Event_queue.fold_keys_sorted (fun time seq acc -> mix_keys acc time seq) q fnv_offset
-  | Wheel w -> Wheel.fold_keys_sorted (fun time seq acc -> mix_keys acc time seq) w fnv_offset
   | Controlled c ->
     List.fold_left
       (fun acc l ->
@@ -224,66 +198,55 @@ let candidates c =
       | Some (time, seq) -> Some ({ tag = l.ltag; time; seq }, l))
     c.lanes
 
-let run ?until t =
+(* Default mode: the mode and [until] are resolved once, outside the
+   loop. *)
+let run_heap t q limit =
+  let processed = ref 0 in
+  (* [top_time] instead of [peek_key], so a popped event allocates no
+     [Some]. *)
+  while (not (Event_queue.is_empty q)) && Event_queue.top_time q <= limit do
+    let f = Event_queue.pop_payload q in
+    t.now <- Event_queue.popped_time q;
+    incr processed;
+    let src = Event_queue.popped_src q in
+    if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst q) then f ()
+  done;
+  if not (Event_queue.is_empty q) then t.now <- limit;
+  !processed
+
+let run_controlled t c limit =
   let processed = ref 0 in
   let continue = ref true in
   while !continue do
-    match t.mode with
-    | Heap q -> (
-      (* Hot loop: [top_time] instead of [min_time], so a popped event
-         allocates no [Some]. *)
-      if Event_queue.is_empty q then continue := false
-      else
-        match until with
-        | Some limit when Event_queue.top_time q > limit ->
-          t.now <- limit;
-          continue := false
-        | _ ->
-          let f = Event_queue.pop_payload q in
-          t.now <- Event_queue.popped_time q;
-          incr processed;
-          let src = Event_queue.popped_src q in
-          if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst q) then f ())
-    | Wheel w -> (
-      match Wheel.min_time w with
-      | None -> continue := false
-      | Some time -> (
-        match until with
-        | Some limit when time > limit ->
-          t.now <- limit;
-          continue := false
-        | _ ->
-          let f = Wheel.pop_payload w in
-          t.now <- Wheel.popped_time w;
-          incr processed;
-          let src = Wheel.popped_src w in
-          if src < 0 || t.gate ~src ~dst:(Wheel.popped_dst w) then f ()))
-    | Controlled c -> (
-      match candidates c with
-      | [] -> continue := false
-      | cands -> (
-        let min_t =
-          List.fold_left (fun acc (cd, _) -> min acc cd.time) max_int cands
-        in
-        match until with
-        | Some limit when min_t > limit ->
-          t.now <- limit;
-          continue := false
-        | _ ->
-          let arr = Array.of_list (List.map fst cands) in
-          let idx = if Array.length arr = 1 then 0 else c.chooser arr in
-          if idx < 0 || idx >= Array.length arr then
-            invalid_arg "Sim.run: chooser returned an out-of-range index";
-          let _, lane = List.nth cands idx in
-          let f = Event_queue.pop_payload lane.events in
-          let time = Event_queue.popped_time lane.events in
-          if time > t.now then t.now <- time;
-          incr processed;
-          let src = Event_queue.popped_src lane.events in
-          if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst lane.events)
-          then f ()))
+    match candidates c with
+    | [] -> continue := false
+    | cands ->
+      let min_t = List.fold_left (fun acc (cd, _) -> min acc cd.time) max_int cands in
+      if min_t > limit then begin
+        t.now <- limit;
+        continue := false
+      end
+      else begin
+        let arr = Array.of_list (List.map fst cands) in
+        let idx = if Array.length arr = 1 then 0 else c.chooser arr in
+        if idx < 0 || idx >= Array.length arr then
+          invalid_arg "Sim.run: chooser returned an out-of-range index";
+        let _, lane = List.nth cands idx in
+        let f = Event_queue.pop_payload lane.events in
+        let time = Event_queue.popped_time lane.events in
+        if time > t.now then t.now <- time;
+        incr processed;
+        let src = Event_queue.popped_src lane.events in
+        if src < 0 || t.gate ~src ~dst:(Event_queue.popped_dst lane.events) then f ()
+      end
   done;
   !processed
+
+let run ?until t =
+  let limit = match until with Some l -> l | None -> max_int in
+  match t.mode with
+  | Heap q -> run_heap t q limit
+  | Controlled c -> run_controlled t c limit
 
 let us x = x
 let ms x = x * 1_000

@@ -15,15 +15,10 @@
 
 type t
 
-(** [create ?queue ()] makes a simulator backed by the given
-    single-queue structure: the binary heap (default, [`Heap]) or the
-    hierarchical timer wheel ([`Wheel], see {!Wheel}).  The two are
-    pop-for-pop identical — strict [(time, seq)] order with FIFO ties —
-    so the choice affects performance only: the wheel wins on
-    arrival-heavy workloads with deep queues, the heap on small or
-    far-scattered ones.  {!set_chooser} supersedes either with the
-    model checker's lane structure. *)
-val create : ?queue:[ `Heap | `Wheel ] -> unit -> t
+(** [create ()] makes a simulator backed by one {!Event_queue};
+    {!set_chooser} replaces it with the model checker's lane
+    structure. *)
+val create : unit -> t
 
 (** Install the delivery gate: called as [gate ~src ~dst] just before a
     {!schedule_msg} event fires; returning [false] drops the delivery
@@ -76,7 +71,7 @@ val schedule : t -> delay:int -> (unit -> unit) -> unit
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 
 (** [schedule_fault t ~time f] schedules a planned fault action.
-    Identical to {!schedule_at} in the single-queue modes; in controlled
+    Identical to {!schedule_at} in the default mode; in controlled
     mode the event lands in the dedicated [Fault] lane, making each
     action a first-class transition the chooser orders freely against
     deliveries and internal events (plan order within the lane is
@@ -103,10 +98,9 @@ val queue_max_depth : t -> int
 
 (** Hash of the pending-event multiset: FNV-1a over the ascending
     [(time, seq)] key stream (in controlled mode: per lane, in lane
-    order, mixed with the lane tag).  Every backing structure exposes
-    the same sorted enumeration, so the fingerprint is independent of
-    heap/wheel internals.  Part of the model checker's state
-    fingerprint. *)
+    order, mixed with the lane tag).  The queue enumerates its keys in
+    sorted order, so the fingerprint is independent of its internal
+    layout.  Part of the model checker's state fingerprint. *)
 val pending_fingerprint : t -> int
 
 (** Microseconds helpers. *)

@@ -411,7 +411,6 @@ let openloop_load ?(jobs = 1) ?(clients_per_dc = 2_000) ~scale () =
                  measure_us = timing.measure_us;
                  seed = int_of_float rate + 61;
                  jitter = 0.02;
-                 queue = `Heap;
                }))
   (* Process workers, not domain workers: each open-loop cell pushes
      one to two orders of magnitude more simulator events than the
@@ -480,7 +479,6 @@ let batch_load ?(jobs = 1) ?(clients_per_dc = 2_000) ~scale () =
                  measure_us = timing.measure_us;
                  seed = int_of_float rate + 61;
                  jitter = 0.02;
-                 queue = `Heap;
                }))
   |> Sweep.run_processes ~jobs
   |> List.iter (fun ((rate, window), r) ->

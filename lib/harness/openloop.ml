@@ -22,8 +22,7 @@
 
     Determinism matches the rest of the harness: one RNG per DC drives
     both the interarrival draws and the program draws, all seeded from
-    the experiment seed, and the simulator can run on the binary heap or
-    the timer wheel ([setup.queue]) with byte-identical results. *)
+    the experiment seed. *)
 
 type setup = {
   topology : Dsim.Topology.t;
@@ -36,7 +35,6 @@ type setup = {
   measure_us : int;
   seed : int;
   jitter : float;
-  queue : [ `Heap | `Wheel ];
 }
 
 let default_setup ~workload ~config =
@@ -51,7 +49,6 @@ let default_setup ~workload ~config =
     measure_us = 5_000_000;
     seed = 1;
     jitter = 0.02;
-    queue = `Heap;
   }
 
 type result = {
@@ -87,7 +84,7 @@ let st_running = 1
 
 let run ?timeseries_us setup =
   if setup.clients_per_dc < 1 then invalid_arg "Openloop.run: clients_per_dc < 1";
-  let sim = Dsim.Sim.create ~queue:setup.queue () in
+  let sim = Dsim.Sim.create () in
   let dcs = Dsim.Topology.size setup.topology in
   let node_dc = Array.init dcs (fun i -> i) in
   let rng = Dsim.Rng.create ~seed:setup.seed in

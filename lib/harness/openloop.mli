@@ -9,8 +9,7 @@
     in-flight transactions; arrivals that find their DC's whole
     population busy are counted as dropped, never queued.
 
-    Runs are deterministic in the seed and identical whether the
-    simulator uses the binary heap or the timer wheel ([queue]). *)
+    Runs are deterministic in the seed. *)
 
 type setup = {
   topology : Dsim.Topology.t;
@@ -23,11 +22,10 @@ type setup = {
   measure_us : int;
   seed : int;
   jitter : float;
-  queue : [ `Heap | `Wheel ];
 }
 
 (** Nine EC2 regions, rf 6, 1000 clients/DC, Poisson 100 tx/s/DC, 2 s
-    warmup, 5 s measurement, binary heap. *)
+    warmup, 5 s measurement. *)
 val default_setup : workload:Workload.Spec.t -> config:Core.Config.t -> setup
 
 type result = {

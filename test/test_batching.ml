@@ -1,6 +1,6 @@
 (* Queue-oriented speculative batching (coalesced commit pipeline):
-   - window = 0 must be bit-identical to the historical engine, on the
-     heap, the wheel, and under a controlled-mode chooser;
+   - window = 0 must be bit-identical to the historical engine, in the
+     default mode and under a controlled-mode chooser;
    - with coalescing ON the committed history must still be SPSI-clean,
      fault-free and across crash-recover schedules;
    - the batching counters (engine, network, partition-server sweeps)
@@ -21,28 +21,24 @@ let fingerprints (w : Check.Scenario.world) =
 
 (* A configuration that carries the whole batching plumbing but a zero
    window must be bit-for-bit the unbatched run: same engine
-   fingerprint, same history, on either queue structure. *)
+   fingerprint, same history. *)
 let prop_window_zero_bit_identical =
   let gen =
     QCheck.Gen.(
       quad (int_range 2 3) (int_range 1 2) (int_range 2 4) (int_range 1 2))
   in
   let arb = QCheck.make gen in
-  QCheck.Test.make ~name:"batch_window_us=0 is bit-identical (heap + wheel)"
+  QCheck.Test.make ~name:"batch_window_us=0 is bit-identical"
     ~count:20 arb (fun (dcs, keys, txs, rf) ->
-      List.for_all
-        (fun queue ->
-          let base = Check.Scenario.make ~rf ~queue ~dcs ~keys ~txs () in
-          let zeroed =
-            Check.Scenario.make ~rf ~queue
-              ~config:
-                (Core.Config.with_batching ~batch_window_us:0 ~batch_max:16
-                   (Check.Scenario.config ()))
-              ~dcs ~keys ~txs ()
-          in
-          fingerprints (Check.Scenario.run base)
-          = fingerprints (Check.Scenario.run zeroed))
-        [ `Heap; `Wheel ])
+      let base = Check.Scenario.make ~rf ~dcs ~keys ~txs () in
+      let zeroed =
+        Check.Scenario.make ~rf
+          ~config:
+            (Core.Config.with_batching ~batch_window_us:0 ~batch_max:16
+               (Check.Scenario.config ()))
+          ~dcs ~keys ~txs ()
+      in
+      fingerprints (Check.Scenario.run base) = fingerprints (Check.Scenario.run zeroed))
 
 (* Same under controlled mode: a seeded random chooser replayed against
    both deployments must follow the identical schedule and land on the

@@ -285,122 +285,243 @@ let test_event_queue_float_payloads () =
     [ (10, 10.5); (10, 10.5); (20, 20.5); (30, 30.5) ]
     popped
 
-(* --- wheel vs heap differential oracle --- *)
+(* --- event queue against a sorted-list model --- *)
 
-module Wheel = Dsim.Wheel
+(* Reference: the pending entries as a list kept sorted by (time, seq),
+   with the seq counter, lifetime counters and last-popped key
+   maintained by hand. *)
+type model = {
+  mutable entries : (int * int * int * int) list;  (** time, seq, src, payload *)
+  mutable m_seq : int;
+  mutable m_pops : int;
+  mutable m_max : int;
+  mutable m_popped : int * int;  (** time, src *)
+}
 
-(* Drive the binary heap and the timer wheel with an identical random
-   push/pop script and demand bit-for-bit agreement: same pop times,
-   same payloads (which pins FIFO order at equal times), same peeked
-   keys, same sorted key streams, same lifetime counters.  The time
-   distribution deliberately covers every placement class: dense
-   same-instant ties, each wheel level, the far-horizon overflow heap,
-   and late pushes behind an advanced base (forced by peeking, which
-   may settle the wheel forward). *)
-let differential_script seed n =
-  let rng = Dsim.Rng.create ~seed in
-  let h = EQ.create () and w = Wheel.create () in
-  let next_id = ref 0 in
-  let last = ref 0 in
-  let ok = ref true in
-  let check b = if not b then ok := false in
-  let pop_both () =
-    let th, vh = EQ.pop h and tw, vw = Wheel.pop w in
-    check (th = tw && vh = vw);
-    last := th
+(* The new seq exceeds every queued one, so the entry goes after all
+   entries at or before [time]. *)
+let model_push m ~time ~src v =
+  let e = (time, m.m_seq, src, v) in
+  m.m_seq <- m.m_seq + 1;
+  let rec ins = function
+    | ((t, _, _, _) as x) :: rest when t <= time -> x :: ins rest
+    | rest -> e :: rest
   in
-  for _ = 1 to n do
-    let op = Dsim.Rng.int rng 100 in
-    if op < 55 || EQ.is_empty h then begin
-      let bucket = Dsim.Rng.int rng 100 in
-      let t =
-        if bucket < 35 then !last + Dsim.Rng.int rng 8 (* level 0, many ties *)
-        else if bucket < 60 then !last + Dsim.Rng.int rng 2_000 (* levels 0-1 *)
-        else if bucket < 75 then !last + Dsim.Rng.int rng 2_000_000 (* level 2 *)
-        else if bucket < 85 then !last + Dsim.Rng.int rng 2_000_000_000 (* level 3 *)
-        else if bucket < 92 then !last + (1 lsl 40) + Dsim.Rng.int rng 10_000
-          (* beyond the horizon: overflow heap *)
-        else max 0 (!last - Dsim.Rng.int rng 5_000)
-        (* at-or-behind the floor: hits the wheel's late path when a
-           peek has advanced its base *)
-      in
-      let v = !next_id in
-      incr next_id;
-      EQ.push h ~time:t v;
-      Wheel.push w ~time:t v
-    end
-    else if op < 90 then pop_both ()
-    else begin
-      (* peek: settles the wheel (may advance base); keys must agree *)
-      check (EQ.peek_key h = Wheel.peek_key w);
-      check (EQ.min_time h = Wheel.min_time w)
-    end
-  done;
-  let stream fold q = List.rev (fold (fun t s acc -> (t, s) :: acc) q []) in
-  check (stream EQ.fold_keys_sorted h = stream Wheel.fold_keys_sorted w);
-  check (EQ.length h = Wheel.length w);
-  while not (EQ.is_empty h) do
-    pop_both ()
-  done;
-  check (Wheel.is_empty w);
-  check (EQ.pushes h = Wheel.pushes w);
-  check (EQ.pops h = Wheel.pops w);
-  !ok
+  m.entries <- ins m.entries;
+  m.m_max <- max m.m_max (List.length m.entries)
 
-let prop_wheel_heap_differential =
-  QCheck.Test.make ~name:"wheel and heap pop identically" ~count:60 QCheck.int
-    (fun seed -> differential_script seed 1_500)
+let model_pop m =
+  match m.entries with
+  | [] -> None
+  | (t, _, src, v) :: rest ->
+    m.entries <- rest;
+    m.m_pops <- m.m_pops + 1;
+    m.m_popped <- (t, src);
+    Some v
 
-let test_wheel_heap_deep () =
-  List.iter
-    (fun seed ->
-      Alcotest.(check bool)
-        (Printf.sprintf "differential seed %d" seed)
-        true
-        (differential_script seed 25_000))
-    [ 1; 42; 1337 ]
+type op =
+  | Push_now of int  (** at the last popped instant, repeated n times *)
+  | Push_ahead of int
+  | Push_behind of int
+  | Push_msg_now of int  (** from this source node *)
+  | Pop of int
 
-let test_wheel_fifo_ties () =
-  (* Same-instant FIFO order survives a cascade: events pushed for one
-     instant at different wheel levels (before and after base advances)
-     still pop in push order. *)
-  let w = Wheel.create () in
-  let t = 5_000_000 in
-  Wheel.push w ~time:t "far";
-  (* place within level 0 of that window after advancing base there *)
-  Wheel.push w ~time:(t - 1) "warm";
-  let _, v1 = Wheel.pop w in
-  Alcotest.(check string) "warm first" "warm" v1;
-  Wheel.push w ~time:t "near";
-  Wheel.push w ~time:t "last";
-  let order = List.init 3 (fun _ -> snd (Wheel.pop w)) in
-  Alcotest.(check (list string)) "push order at equal time" [ "far"; "near"; "last" ] order
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun n -> Push_now n) (int_range 1 3));
+        (1, map (fun n -> Push_now n) (int_range 65 100));
+        (3, map (fun d -> Push_ahead d) (int_range 0 50));
+        (1, map (fun d -> Push_behind d) (int_range 1 20));
+        (2, map (fun s -> Push_msg_now s) (int_range 0 9));
+        (8, map (fun n -> Pop n) (int_range 1 8));
+      ])
 
-let sim_script queue =
-  (* A small fiber + message + until/resume workload; the log (event
-     identity, firing time) must not depend on the backing queue. *)
-  let sim = Sim.create ~queue () in
+let pp_op = function
+  | Push_now n -> Printf.sprintf "now*%d" n
+  | Push_ahead d -> Printf.sprintf "+%d" d
+  | Push_behind d -> Printf.sprintf "-%d" d
+  | Push_msg_now s -> Printf.sprintf "msg from %d" s
+  | Pop n -> Printf.sprintf "pop*%d" n
+
+(* Every observable of the queue must equal the model's after every
+   operation; the script ends by draining both (comparing the full key
+   stream every 16 pops there, to keep the check quadratic-free).  A
+   message's destination is a function of its payload, [v * 7 mod 10]. *)
+let queue_matches_model ops =
+  let q = EQ.create () and m = { entries = []; m_seq = 0; m_pops = 0; m_max = 0; m_popped = (0, -1) } in
+  let next = ref 0 in
+  let push ?(src = -1) time =
+    let v = !next in
+    incr next;
+    if src < 0 then EQ.push q ~time v else EQ.push_msg q ~time ~src ~dst:(v * 7 mod 10) v;
+    model_push m ~time ~src v
+  in
+  let same_state () =
+    let keys = List.map (fun (t, s, _, _) -> (t, s)) m.entries in
+    EQ.length q = List.length keys
+    && EQ.is_empty q = (keys = [])
+    && EQ.peek_key q = (match keys with k :: _ -> Some k | [] -> None)
+    && (match keys with
+       | (t, _) :: _ -> EQ.top_time q = t
+       | [] -> ( match EQ.top_time q with _ -> false | exception Not_found -> true))
+    && List.rev (EQ.fold_keys_sorted (fun t s acc -> (t, s) :: acc) q []) = keys
+    && EQ.pushes q = m.m_seq
+    && EQ.pops q = m.m_pops
+    && EQ.max_depth q = m.m_max
+  in
+  let pop () =
+    match (EQ.pop_payload q, model_pop m) with
+    | v, Some v' ->
+      let t, src = m.m_popped in
+      v = v' && EQ.popped_time q = t && EQ.popped_src q = src
+      && EQ.popped_dst q = (if src < 0 then -1 else v' * 7 mod 10)
+    | _, None -> false
+    | exception Not_found -> model_pop m = None
+  in
+  let now () = fst m.m_popped in
+  let step op =
+    (match op with
+    | Push_now n ->
+      for _ = 1 to n do
+        push (now ())
+      done
+    | Push_ahead d -> push (now () + d)
+    | Push_behind d -> push (max 0 (now () - d))
+    | Push_msg_now src -> push ~src (now ())
+    | Pop _ -> ());
+    let rec pops k = k = 0 || (pop () && pops (k - 1)) in
+    (match op with Pop n -> pops n | _ -> true) && same_state ()
+  in
+  List.for_all step ops
+  &&
+  let rec drain () =
+    EQ.is_empty q || (pop () && (EQ.length q mod 16 <> 0 || same_state ()) && drain ())
+  in
+  drain () && same_state ()
+
+let prop_event_queue_model =
+  QCheck.Test.make ~name:"event queue matches a sorted-list model" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list pp_op) QCheck.Gen.(list_size (int_range 0 300) op_gen))
+    queue_matches_model
+
+(* --- ivars and fibers --- *)
+
+let test_ivar_waiter_order () =
+  (* Registration order survives the One -> Many transition, a waiter
+     added after the fill runs at once, and a later [fill_if_empty]
+     changes nothing and runs no waiter again. *)
+  let iv = Dsim.Ivar.create () in
   let log = ref [] in
-  let record tag = log := (tag, Sim.now sim) :: !log in
-  Sim.schedule sim ~delay:2_000_000 (fun () -> record "far");
-  for i = 1 to 5 do
-    Sim.schedule sim ~delay:(i * 10) (fun () -> record "tick")
-  done;
-  Sim.schedule_msg sim ~time:40 ~src:0 ~dst:1 (fun () -> record "msg");
-  Dsim.Fiber.spawn sim (fun () ->
-      Dsim.Fiber.sleep sim 25;
-      record "fiber";
-      Dsim.Fiber.sleep sim 0;
-      record "fiber-wake");
-  ignore (Sim.run ~until:45 sim);
-  (* push behind the wheel's (possibly advanced) base *)
-  Sim.schedule sim ~delay:5 (fun () -> record "late");
-  ignore (Sim.run sim);
-  (List.rev !log, Sim.now sim)
+  List.iter (fun n -> Dsim.Ivar.on_full iv (fun v -> log := (n, v) :: !log)) [ "a"; "b"; "c" ];
+  Alcotest.(check (list (pair string int))) "nothing before fill" [] !log;
+  Dsim.Ivar.fill iv 4;
+  Dsim.Ivar.on_full iv (fun v -> log := ("late", v) :: !log);
+  Alcotest.(check bool) "fill_if_empty on a full ivar" false (Dsim.Ivar.fill_if_empty iv 5);
+  Alcotest.(check (list (pair string int)))
+    "registration order" [ ("a", 4); ("b", 4); ("c", 4); ("late", 4) ] (List.rev !log);
+  Alcotest.(check (option int)) "value kept" (Some 4) (Dsim.Ivar.peek iv);
+  let single = Dsim.Ivar.create () in
+  let got = ref 0 in
+  Dsim.Ivar.on_full single (fun v -> got := v);
+  Alcotest.(check bool) "single waiter fills" true (Dsim.Ivar.fill_if_empty single 9);
+  Alcotest.(check int) "single waiter ran" 9 !got
 
-let test_sim_wheel_matches_heap () =
-  let lh = sim_script `Heap and lw = sim_script `Wheel in
-  Alcotest.(check (pair (list (pair string int)) int)) "identical runs" lh lw
+exception Refused
+
+let test_suspend_register_raises () =
+  (* An exception from the registration is raised in the fiber at the
+     [suspend] call, where the fiber can handle it. *)
+  let sim = Sim.create () in
+  let log = ref [] in
+  Dsim.Fiber.spawn sim (fun () ->
+      (try Dsim.Fiber.suspend (fun _resume -> raise Refused) with Refused -> log := "caught" :: !log);
+      Dsim.Fiber.sleep sim 5;
+      log := "resumed" :: !log);
+  let processed = Sim.run sim in
+  Alcotest.(check (list string)) "handled in the fiber" [ "caught"; "resumed" ] (List.rev !log);
+  Alcotest.(check int) "events" 3 processed;
+  Alcotest.(check int) "clock" 5 (Sim.now sim);
+  Alcotest.check_raises "unhandled: out of Sim.run" Refused (fun () ->
+      let sim = Sim.create () in
+      Dsim.Fiber.spawn sim (fun () -> Dsim.Fiber.suspend (fun _resume -> raise Refused));
+      ignore (Sim.run sim))
+
+(* [sleep], [yield], ivar waits and CPU charges through [suspend], around
+   a [Sim.run ~until] pause.  The (time, label, events popped so far)
+   log and the queue counters are a golden taken before the ready ring,
+   the 4-ary heap and [suspend] existed (when a charge waited on an
+   ivar filled by the CPU completion): the wake-up rework must not move
+   a single event. *)
+let test_sim_script_golden () =
+  let sim = Sim.create () in
+  let cpu = Dsim.Cpu.create sim in
+  let log = ref [] in
+  let record label = log := (Sim.now sim, label, Sim.queue_pops sim) :: !log in
+  let charge cost = Dsim.Fiber.suspend (fun resume -> Dsim.Cpu.exec cpu ~cost resume) in
+  let iv = Dsim.Ivar.create () in
+  Sim.schedule sim ~delay:15 (fun () ->
+      record "timer";
+      Dsim.Ivar.fill iv 7);
+  Sim.schedule_msg sim ~time:20 ~src:0 ~dst:1 (fun () -> record "msg");
+  for f = 0 to 2 do
+    Dsim.Fiber.spawn sim (fun () ->
+        record (Printf.sprintf "f%d start" f);
+        charge (10 * (f + 1));
+        record (Printf.sprintf "f%d charged" f);
+        Dsim.Fiber.yield sim;
+        record (Printf.sprintf "f%d yielded" f);
+        Dsim.Fiber.sleep sim (5 * f);
+        record (Printf.sprintf "f%d slept" f);
+        let v = Dsim.Fiber.await iv in
+        record (Printf.sprintf "f%d got %d" f v);
+        charge 3;
+        record (Printf.sprintf "f%d done" f))
+  done;
+  ignore (Sim.run ~until:40 sim);
+  record "paused";
+  Dsim.Fiber.spawn sim (fun () ->
+      Dsim.Fiber.yield sim;
+      record "late yielded";
+      charge 4;
+      record "late charged");
+  Sim.schedule sim ~delay:0 (fun () -> record "late timer");
+  ignore (Sim.run sim);
+  record "end";
+  let golden =
+    [
+      (0, "f0 start", 1);
+      (0, "f1 start", 2);
+      (0, "f2 start", 3);
+      (10, "f0 charged", 5);
+      (10, "f0 yielded", 7);
+      (10, "f0 slept", 9);
+      (15, "timer", 10);
+      (15, "f0 got 7", 11);
+      (20, "msg", 12);
+      (30, "f1 charged", 14);
+      (30, "f1 yielded", 16);
+      (35, "f1 slept", 18);
+      (35, "f1 got 7", 19);
+      (40, "paused", 19);
+      (40, "late timer", 21);
+      (40, "late yielded", 23);
+      (60, "f2 charged", 25);
+      (60, "f2 yielded", 27);
+      (63, "f0 done", 29);
+      (66, "f1 done", 31);
+      (70, "late charged", 34);
+      (70, "f2 slept", 35);
+      (70, "f2 got 7", 36);
+      (73, "f2 done", 38);
+      (73, "end", 38);
+    ]
+  in
+  Alcotest.(check (list (triple int string int))) "pop sequence" golden (List.rev !log);
+  Alcotest.(check (list int))
+    "pushes, pops, max depth" [ 38; 38; 5 ]
+    [ Sim.queue_pushes sim; Sim.queue_pops sim; Sim.queue_max_depth sim ]
 
 let test_sim_delivery_gate () =
   let sim = Sim.create () in
@@ -560,19 +681,14 @@ let () =
             test_event_queue_no_retention;
           Alcotest.test_case "float payloads" `Quick test_event_queue_float_payloads;
           QCheck_alcotest.to_alcotest prop_event_queue_sorted;
-        ] );
-      ( "wheel",
-        [
-          QCheck_alcotest.to_alcotest prop_wheel_heap_differential;
-          Alcotest.test_case "deep differential" `Quick test_wheel_heap_deep;
-          Alcotest.test_case "FIFO ties across levels" `Quick test_wheel_fifo_ties;
-          Alcotest.test_case "sim runs identically on wheel" `Quick test_sim_wheel_matches_heap;
-          Alcotest.test_case "delivery gate" `Quick test_sim_delivery_gate;
+          QCheck_alcotest.to_alcotest prop_event_queue_model;
         ] );
       ( "sim",
         [
           Alcotest.test_case "schedule order" `Quick test_sim_schedule;
           Alcotest.test_case "run until" `Quick test_sim_until;
+          Alcotest.test_case "delivery gate" `Quick test_sim_delivery_gate;
+          Alcotest.test_case "script golden" `Quick test_sim_script_golden;
         ] );
       ( "fiber",
         [
@@ -581,6 +697,9 @@ let () =
           Alcotest.test_case "nested spawn" `Quick test_fiber_nested_spawn;
           Alcotest.test_case "many waiters" `Quick test_fiber_many_waiters_one_ivar;
           Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
+          Alcotest.test_case "ivar waiter order" `Quick test_ivar_waiter_order;
+          Alcotest.test_case "suspend registration raises" `Quick
+            test_suspend_register_raises;
         ] );
       ( "clock",
         [

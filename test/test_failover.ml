@@ -421,8 +421,7 @@ let test_faulted_full_run_with_recovery () =
 
 (* A benign plan — link state injected and healed again before any
    message delivery — must leave no trace: the run is bit-for-bit the
-   fault-free run (same engine fingerprint, same history), on the heap
-   and on the wheel. *)
+   fault-free run (same engine fingerprint, same history). *)
 let prop_benign_faults_leave_no_trace =
   let gen =
     QCheck.Gen.(
@@ -459,30 +458,6 @@ let prop_benign_faults_leave_no_trace =
       && Spsi.History.fingerprint w0.Check.Scenario.history
          = Spsi.History.fingerprint w1.Check.Scenario.history)
 
-(* Heap and wheel must agree event-for-event under the same fault plan:
-   crash points and recovery land identically whatever the queue
-   structure. *)
-let prop_heap_wheel_agree_under_faults =
-  let gen =
-    QCheck.Gen.(
-      triple (int_range 0 2) (int_range 0 200_000) (int_range 0 200_000))
-  in
-  let arb = QCheck.make gen in
-  QCheck.Test.make ~name:"heap/wheel identical under crash-recover plans" ~count:15
-    arb (fun (node, t_crash, dt) ->
-      let plan =
-        [ (t_crash, Dsim.Fault.Crash node); (t_crash + dt, Dsim.Fault.Recover node) ]
-      in
-      let mk queue =
-        Check.Scenario.make ~dcs:3 ~keys:2 ~txs:3 ~rf:2 ~queue ~fault_plan:plan ()
-      in
-      let wh = Check.Scenario.run (mk `Heap) in
-      let ww = Check.Scenario.run (mk `Wheel) in
-      Core.Engine.fingerprint wh.Check.Scenario.eng
-      = Core.Engine.fingerprint ww.Check.Scenario.eng
-      && Spsi.History.fingerprint wh.Check.Scenario.history
-         = Spsi.History.fingerprint ww.Check.Scenario.history)
-
 let () =
   Alcotest.run "failover"
     [
@@ -513,6 +488,5 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_benign_faults_leave_no_trace;
-          QCheck_alcotest.to_alcotest prop_heap_wheel_agree_under_faults;
         ] );
     ]

@@ -351,7 +351,7 @@ let test_per_label_sorted () =
 
 (* --- open-loop harness --------------------------------------------- *)
 
-let openloop_setup ?(clients_per_dc = 150) ?(rate = 100.) ?(queue = `Heap) config =
+let openloop_setup ?(clients_per_dc = 150) ?(rate = 100.) config =
   let placement = Store.Placement.ring ~n_nodes:3 ~replication_factor:2 () in
   (* Mild contention: latency stays near the WAN floor, so at 100 tx/s
      per DC the in-flight count sits far below the 150-client population
@@ -379,7 +379,6 @@ let openloop_setup ?(clients_per_dc = 150) ?(rate = 100.) ?(queue = `Heap) confi
     measure_us = 1_500_000;
     seed = 5;
     jitter = 0.;
-    queue;
   }
 
 let test_openloop_end_to_end () =
@@ -407,13 +406,6 @@ let test_openloop_saturation_drops () =
   Alcotest.(check bool) "still commits" true (r.Harness.Openloop.completed > 0);
   Alcotest.(check int) "peak equals population" r.Harness.Openloop.clients
     r.Harness.Openloop.peak_in_flight
-
-let test_openloop_wheel_matches_heap () =
-  (* The whole result record — metrics, counters, stats deltas — must be
-     identical whichever structure backs the event queue. *)
-  let rh = Harness.Openloop.run (openloop_setup ~queue:`Heap (Core.Config.str ())) in
-  let rw = Harness.Openloop.run (openloop_setup ~queue:`Wheel (Core.Config.str ())) in
-  Alcotest.(check bool) "identical results" true (rh = rw)
 
 let test_openloop_deterministic () =
   let r1 = Harness.Openloop.run (openloop_setup (Core.Config.ext_spec ())) in
@@ -485,7 +477,6 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_openloop_end_to_end;
           Alcotest.test_case "saturation drops" `Quick test_openloop_saturation_drops;
-          Alcotest.test_case "wheel matches heap" `Quick test_openloop_wheel_matches_heap;
           Alcotest.test_case "deterministic" `Quick test_openloop_deterministic;
           Alcotest.test_case "procpool matches inline" `Quick test_procpool_matches_inline;
           Alcotest.test_case "procpool propagates failure" `Quick test_procpool_propagates_failure;

@@ -326,10 +326,10 @@ let test_critpath_edge_and_hidden () =
   Alcotest.(check int) "hidden is the rest" 70 (Critpath.hidden_us t)
 
 (* Contended burst through a hand-built cluster, so the property can
-   range over the queue discipline (heap vs wheel) and batching —
-   dimensions the closed-loop Runner does not expose. *)
-let drive_traced ?(base_config = Core.Config.str ()) ~queue ~batch ~seed ~txs ~spread () =
-  let sim = Dsim.Sim.create ~queue () in
+   range over batching — a dimension the closed-loop Runner does not
+   expose. *)
+let drive_traced ?(base_config = Core.Config.str ()) ~batch ~seed ~txs ~spread () =
+  let sim = Dsim.Sim.create () in
   let dcs = 3 in
   let topology = Dsim.Topology.uniform ~dcs ~rtt_ms:60. ~intra_rtt_ms:0.5 in
   let node_dc = Array.init dcs (fun i -> i) in
@@ -364,13 +364,12 @@ let drive_traced ?(base_config = Core.Config.str ()) ~queue ~batch ~seed ~txs ~s
 let prop_critpath_exact_sum =
   (* The ISSUE's headline invariant: for every transaction of a traced
      run, the component sums partition the S_tx span exactly — across
-     random contention, both simulator queues, batching on and off. *)
+     random contention, batching on and off. *)
   QCheck.Test.make ~name:"components sum exactly to the tx span" ~count:20
     QCheck.(
-      quad (int_range 1 500) bool bool (int_range 100 2_500))
-    (fun (seed, wheel, batch, spread) ->
-      let queue = if wheel then `Wheel else `Heap in
-      let trace = drive_traced ~queue ~batch ~seed ~txs:12 ~spread () in
+      triple (int_range 1 500) bool (int_range 100 2_500))
+    (fun (seed, batch, spread) ->
+      let trace = drive_traced ~batch ~seed ~txs:12 ~spread () in
       let txns = Critpath.of_trace trace in
       txns <> []
       && List.for_all
@@ -388,7 +387,7 @@ let test_critpath_of_trace_attributes_waits () =
      finer per-hop components of whatever prepare is in flight — the
      documented paint semantics. *)
   let trace =
-    drive_traced ~base_config:(Core.Config.clocksi_rep ()) ~queue:`Heap ~batch:false
+    drive_traced ~base_config:(Core.Config.clocksi_rep ()) ~batch:false
       ~seed:5 ~txs:12 ~spread:800 ()
   in
   let txns = Critpath.of_trace trace in
@@ -408,7 +407,7 @@ let test_critpath_of_trace_attributes_waits () =
     > 0);
   (* Batching on: parked time appears. *)
   let trb =
-    drive_traced ~base_config:(Core.Config.clocksi_rep ()) ~queue:`Heap ~batch:true
+    drive_traced ~base_config:(Core.Config.clocksi_rep ()) ~batch:true
       ~seed:5 ~txs:12 ~spread:800 ()
   in
   let parked =
