@@ -9,9 +9,7 @@ test:
 	dune runtest
 
 # Static analysis: token lint + cross-file protocol-flow rules
-# (Check.Analyzer).  `--format json` emits a SARIF-style report; add
-# `-j N` to fan the per-file pass over N domains (output is
-# byte-identical whatever the value).
+# (Check.Analyzer).  Exits 1 on any finding; `--rule R` filters.
 lint:
 	dune build bin/lint.exe && ./_build/default/bin/lint.exe lib
 
@@ -46,9 +44,9 @@ mc-batch:
 
 check: test mc mc-crash mc-batch lint
 
-# Worker domains for the sweep grid (empty = STR_JOBS or the
-# recommended domain count).  Table output is byte-identical whatever
-# the value; only wall-clock changes.
+# Worker processes for the sweep grid (empty = the host's CPU count).
+# Table output is byte-identical whatever the value; only wall-clock
+# changes.
 JOBS ?=
 JOBS_FLAG = $(if $(JOBS),-j $(JOBS),)
 

@@ -7,12 +7,11 @@
         constructors, send sites, span opens/closes)
      3. cross-file phase joining the facts into semantic findings
      4. suppression and unused-marker accounting
-     5. renderers (text / SARIF JSON) and the content-hash cache
+     5. entry points and the text renderer
 
-   The per-file pass is pure (source text in, facts out), which is what
-   makes both the {!Harness.Pool} fan-out and the per-file cache sound:
-   the cross-file phase is a deterministic fold over facts in input
-   order, so the report cannot depend on job count or cache state. *)
+   The per-file pass is pure (source text in, facts out) and the
+   cross-file phase is a deterministic fold over facts in input order,
+   so the report depends only on the sources. *)
 
 type severity = Error | Warning
 
@@ -31,10 +30,8 @@ let to_string f =
   Printf.sprintf "%s:%d:%d: %s [%s] %s" f.file f.line f.col
     (severity_name f.severity) f.rule f.message
 
-type rule_info = { name : string; about : string; default_severity : severity }
-
-(* Messages of the ported rules are kept verbatim from the regex lint:
-   they are part of the tool's user interface and pinned by tests. *)
+(* Messages of the ported rules are part of the tool's user interface;
+   all but domain-unsafe's are the regex lint's, verbatim. *)
 let msg_hashtbl_order =
   "hash-table iteration order is nondeterministic; sort before exposing the \
    result"
@@ -48,76 +45,36 @@ let msg_poly_compare =
    comparator"
 
 let msg_domain_unsafe =
-  "toplevel mutable module state is shared by parallel sweep runs \
-   (Harness.Pool); allocate per run instead"
+  "toplevel mutable module state outlives the run: a later sweep cell in the \
+   same worker would see it; allocate per run instead"
 
 let msg_no_direct_print =
   "library code must not print to stdout; return a string/Report and let the \
    binary print it"
 
-let rule_infos =
+(* Canonical rule order: finding lists sort by it. *)
+let rule_names =
   [
-    { name = "hashtbl-order"; about = msg_hashtbl_order; default_severity = Error };
-    { name = "raw-random"; about = msg_raw_random; default_severity = Error };
-    { name = "wall-clock"; about = msg_wall_clock; default_severity = Error };
-    { name = "poly-compare"; about = msg_poly_compare; default_severity = Error };
-    { name = "domain-unsafe"; about = msg_domain_unsafe; default_severity = Error };
-    { name = "no-direct-print"; about = msg_no_direct_print; default_severity = Error };
-    {
-      name = "message-flow";
-      about =
-        "every declared message kind must be sent somewhere and matched in \
-         every dispatch/coverage table; unknown kinds must not be sent";
-      default_severity = Error;
-    };
-    {
-      name = "cost-coverage";
-      about =
-        "every message send must pair with a CPU cost expression (replies are \
-         exempt), or the latency model undercounts the hop";
-      default_severity = Error;
-    };
-    {
-      name = "causal-coverage";
-      about =
-        "every message send must carry the emitting transaction's causal \
-         context (~ctx), or the delivery cannot be linked into the causal \
-         DAG (send_batch flushes are exempt: item contexts are stamped at \
-         enqueue)";
-      default_severity = Error;
-    };
-    {
-      name = "fingerprint-coverage";
-      about =
-        "every mutable field of a fingerprinted state record must reach the \
-         fingerprint, or model-checker dedup may equate distinct states";
-      default_severity = Error;
-    };
-    {
-      name = "span-pairing";
-      about = "every trace span open must have a reachable span_end";
-      default_severity = Error;
-    };
-    {
-      name = "unused-allow";
-      about = "a lint-allow marker that suppresses nothing is stale";
-      default_severity = Warning;
-    };
+    "hashtbl-order";
+    "raw-random";
+    "wall-clock";
+    "poly-compare";
+    "domain-unsafe";
+    "no-direct-print";
+    "message-flow";
+    "cost-coverage";
+    "causal-coverage";
+    "fingerprint-coverage";
+    "span-pairing";
+    "unused-allow";
   ]
-
-let rule_names = List.map (fun r -> r.name) rule_infos
 
 let rule_order r =
   let rec go i = function
     | [] -> max_int
-    | ri :: rest -> if ri.name = r then i else go (i + 1) rest
+    | name :: rest -> if name = r then i else go (i + 1) rest
   in
-  go 0 rule_infos
-
-let severity_of_rule r =
-  match List.find_opt (fun ri -> ri.name = r) rule_infos with
-  | Some ri -> ri.default_severity
-  | None -> Error
+  go 0 rule_names
 
 (* ------------------------------------------------------------------ *)
 (* Path scopes                                                         *)
@@ -129,7 +86,8 @@ let contains_sub hay sub =
   ns = 0 || go 0
 
 (* Same scoping as the regex lint: the domain-unsafe hazard is real in
-   the directories whose modules run inside simulation domains. *)
+   the directories whose modules run inside sweep cells, where a
+   worker process runs several cells one after another. *)
 let domain_unsafe_scope file =
   List.exists
     (fun d ->
@@ -779,7 +737,7 @@ let sort_dedup findings =
   in
   dedup sorted
 
-type report = { findings : finding list; files : int; cache_hits : int }
+type report = { findings : finding list; files : int }
 
 (* Suppression + unused accounting over per-file facts, shared by
    [analyze] and the single-file [lint_findings]. *)
@@ -830,156 +788,6 @@ let apply_markers ~config ~semantic pf raw =
   kept @ unused
 
 (* ------------------------------------------------------------------ *)
-(* Content-hash cache                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let cache_schema = 2
-
-let content_hash s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
-
-module J = Harness.Bench_json
-
-let jnum i = J.Num (float_of_int i)
-let jstrs ss = J.Arr (List.map (fun s -> J.Str s) ss)
-
-let json_of_facts f =
-  let span_status = function
-    | Sp_ok -> ("ok", "")
-    | Sp_open h -> ("open", h)
-    | Sp_escaped x -> ("escaped", x)
-    | Sp_unbound -> ("unbound", "")
-  in
-  J.Obj
-    [
-      ("findings", J.Arr (List.map (fun (r, l, c) -> J.Arr [ J.Str r; jnum l; jnum c ]) f.f_findings));
-      ("markers", J.Arr (List.map (fun (ml, tg, rs) -> J.Arr [ jnum ml; jnum tg; jstrs rs ]) f.f_markers));
-      ("fields", J.Arr (List.map (fun (t, fl, l) -> J.Arr [ J.Str t; J.Str fl; jnum l ]) f.f_fields));
-      ("fp_idents", jstrs f.f_fp_idents);
-      ("has_fp", J.Bool f.f_has_fp);
-      ("ctors", J.Arr (List.map (fun (c, l) -> J.Arr [ J.Str c; jnum l ]) f.f_ctors));
-      ( "ctor_items",
-        J.Arr (List.map (fun (nm, l, cs) -> J.Arr [ J.Str nm; jnum l; jstrs cs ]) f.f_ctor_items) );
-      ( "sends",
-        J.Arr
-          (List.map
-             (fun (c, l, col, hc, hx, wid) ->
-               J.Arr [ J.Str c; jnum l; jnum col; J.Bool hc; J.Bool hx; jstrs wid ])
-             f.f_sends) );
-      ("cost_defs", jstrs f.f_cost_defs);
-      ( "spans",
-        J.Arr
-          (List.map
-             (fun (l, c, st) ->
-               let tag, nm = span_status st in
-               J.Arr [ jnum l; jnum c; J.Str tag; J.Str nm ])
-             f.f_spans) );
-      ("span_ctx", jstrs f.f_span_ctx);
-    ]
-
-exception Bad_cache
-
-let facts_of_json j =
-  let int = function J.Num x -> int_of_float x | _ -> raise Bad_cache in
-  let str = function J.Str s -> s | _ -> raise Bad_cache in
-  let boolean = function J.Bool b -> b | _ -> raise Bad_cache in
-  let arr = function J.Arr xs -> xs | _ -> raise Bad_cache in
-  let strs v = List.map str (arr v) in
-  let field o k = match List.assoc_opt k o with Some v -> v | None -> raise Bad_cache in
-  try
-    let o = match j with J.Obj o -> o | _ -> raise Bad_cache in
-    let span_of = function
-      | [ l; c; J.Str tag; J.Str nm ] ->
-        let st =
-          match tag with
-          | "ok" -> Sp_ok
-          | "open" -> Sp_open nm
-          | "escaped" -> Sp_escaped nm
-          | "unbound" -> Sp_unbound
-          | _ -> raise Bad_cache
-        in
-        (int l, int c, st)
-      | _ -> raise Bad_cache
-    in
-    Some
-      {
-        f_findings =
-          List.map
-            (fun v -> match arr v with [ r; l; c ] -> (str r, int l, int c) | _ -> raise Bad_cache)
-            (arr (field o "findings"));
-        f_markers =
-          List.map
-            (fun v -> match arr v with [ ml; tg; rs ] -> (int ml, int tg, strs rs) | _ -> raise Bad_cache)
-            (arr (field o "markers"));
-        f_fields =
-          List.map
-            (fun v -> match arr v with [ t; fl; l ] -> (str t, str fl, int l) | _ -> raise Bad_cache)
-            (arr (field o "fields"));
-        f_fp_idents = strs (field o "fp_idents");
-        f_has_fp = boolean (field o "has_fp");
-        f_ctors =
-          List.map
-            (fun v -> match arr v with [ c; l ] -> (str c, int l) | _ -> raise Bad_cache)
-            (arr (field o "ctors"));
-        f_ctor_items =
-          List.map
-            (fun v -> match arr v with [ nm; l; cs ] -> (str nm, int l, strs cs) | _ -> raise Bad_cache)
-            (arr (field o "ctor_items"));
-        f_sends =
-          List.map
-            (fun v ->
-              match arr v with
-              | [ c; l; col; hc; hx; wid ] ->
-                (str c, int l, int col, boolean hc, boolean hx, strs wid)
-              | _ -> raise Bad_cache)
-            (arr (field o "sends"));
-        f_cost_defs = strs (field o "cost_defs");
-        f_spans = List.map (fun v -> span_of (arr v)) (arr (field o "spans"));
-        f_span_ctx = strs (field o "span_ctx");
-      }
-  with Bad_cache -> None
-
-(** [(path, hash) -> facts] entries of a cache file; empty on any
-    structural or version mismatch (a stale cache is just a miss). *)
-let load_cache path =
-  if not (Sys.file_exists path) then []
-  else
-    match J.read_file path with
-    | Error _ -> []
-    | Ok (J.Obj o) -> (
-      match (List.assoc_opt "schema" o, List.assoc_opt "entries" o) with
-      | Some (J.Num v), Some (J.Arr es) when int_of_float v = cache_schema ->
-        List.filter_map
-          (fun e ->
-            match e with
-            | J.Obj eo -> (
-              match
-                (List.assoc_opt "path" eo, List.assoc_opt "hash" eo, List.assoc_opt "facts" eo)
-              with
-              | Some (J.Str p), Some (J.Str h), Some fj -> (
-                match facts_of_json fj with Some f -> Some ((p, h), f) | None -> None)
-              | _ -> None)
-            | _ -> None)
-          es
-      | _ -> [])
-    | Ok _ -> []
-
-let save_cache path entries =
-  let es =
-    List.map
-      (fun ((p, h), f) ->
-        J.Obj [ ("path", J.Str p); ("hash", J.Str h); ("facts", json_of_facts f) ])
-      entries
-  in
-  (* Best effort: a read-only location silently disables the cache. *)
-  match J.write_file path (J.Obj [ ("schema", jnum cache_schema); ("entries", J.Arr es) ]) with
-  | Ok () | Error _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1003,36 +811,8 @@ let rec collect path =
 
 let scan_paths paths = List.concat_map collect paths
 
-let analyze ?(config = default_config) ?rules ?(jobs = 1) ?cache_file sources =
-  let cache = match cache_file with None -> [] | Some p -> load_cache p in
-  let keyed = List.map (fun s -> (s, content_hash s.text)) sources in
-  let looked =
-    List.map (fun (s, h) -> ((s, h), List.assoc_opt (s.path, h) cache)) keyed
-  in
-  let misses =
-    List.filter_map (fun ((s, _), c) -> match c with None -> Some s | Some _ -> None) looked
-  in
-  let computed =
-    ref (Harness.Pool.map ~jobs (fun s -> extract ~config ~file:s.path s.text) misses)
-  in
-  let cache_hits = ref 0 in
-  let entries =
-    List.map
-      (fun ((s, h), c) ->
-        match c with
-        | Some f ->
-          incr cache_hits;
-          ((s.path, h), f)
-        | None -> (
-          match !computed with
-          | f :: rest ->
-            computed := rest;
-            ((s.path, h), f)
-          | [] -> assert false))
-      looked
-  in
-  (match cache_file with None -> () | Some p -> save_cache p entries);
-  let pf = List.map (fun ((p, _), f) -> (p, f)) entries in
+let analyze ?(config = default_config) ?rules sources =
+  let pf = List.map (fun s -> (s.path, extract ~config ~file:s.path s.text)) sources in
   let raw =
     List.concat_map (fun (p, f) -> token_findings p f) pf @ semantic_findings ~config pf
   in
@@ -1042,73 +822,11 @@ let analyze ?(config = default_config) ?rules ?(jobs = 1) ?cache_file sources =
     | None -> findings
     | Some rs -> List.filter (fun f -> List.mem f.rule rs) findings
   in
-  { findings = sort_dedup findings; files = List.length sources; cache_hits = !cache_hits }
+  { findings = sort_dedup findings; files = List.length sources }
 
 let lint_findings ~file src =
   let facts = extract ~config:default_config ~file src in
   let pf = [ (file, facts) ] in
   sort_dedup (apply_markers ~config:default_config ~semantic:false pf (token_findings file facts))
 
-(* ------------------------------------------------------------------ *)
-(* Renderers                                                           *)
-(* ------------------------------------------------------------------ *)
-
 let render_text r = String.concat "" (List.map (fun f -> to_string f ^ "\n") r.findings)
-
-let level = function Error -> "error" | Warning -> "warning"
-
-let render_json r =
-  let rules_json =
-    List.map
-      (fun ri ->
-        J.Obj
-          [
-            ("id", J.Str ri.name);
-            ("shortDescription", J.Obj [ ("text", J.Str ri.about) ]);
-            ("defaultConfiguration", J.Obj [ ("level", J.Str (level ri.default_severity)) ]);
-          ])
-      rule_infos
-  in
-  let result f =
-    J.Obj
-      [
-        ("ruleId", J.Str f.rule);
-        ("level", J.Str (level f.severity));
-        ("message", J.Obj [ ("text", J.Str f.message) ]);
-        ( "locations",
-          J.Arr
-            [
-              J.Obj
-                [
-                  ( "physicalLocation",
-                    J.Obj
-                      [
-                        ("artifactLocation", J.Obj [ ("uri", J.Str f.file) ]);
-                        ( "region",
-                          J.Obj [ ("startLine", jnum f.line); ("startColumn", jnum f.col) ] );
-                      ] );
-                ];
-            ] );
-      ]
-  in
-  J.to_string
-    (J.Obj
-       [
-         ("version", J.Str "2.1.0");
-         ( "runs",
-           J.Arr
-             [
-               J.Obj
-                 [
-                   ( "tool",
-                     J.Obj
-                       [
-                         ( "driver",
-                           J.Obj [ ("name", J.Str "str-analyzer"); ("rules", J.Arr rules_json) ] );
-                       ] );
-                   ("results", J.Arr (List.map result r.findings));
-                 ];
-             ] );
-       ])
-
-let _ = severity_of_rule

@@ -1,6 +1,6 @@
 (** Protocol-flow static analyzer: cross-file semantic checks over the
     token stream of {!Token}, plus the token-rule port of the original
-    determinism lint ({!Lint}).
+    determinism lint.
 
     The analyzer exists because the repo's central property — a run is
     a deterministic, fully-checked function of (config, seed) — is
@@ -12,10 +12,19 @@
 
     {2 Rule catalog}
 
-    Token rules (per file, ported from the regex lint; same names,
-    same messages, same suppression markers):
-    [hashtbl-order], [raw-random], [wall-clock], [poly-compare],
-    [domain-unsafe], [no-direct-print].
+    Token rules (per file, ported from the regex lint; same names and
+    suppression markers):
+    - {b hashtbl-order} — exposed hash-table iteration order;
+    - {b raw-random} — the global [Random] state instead of {!Dsim.Rng};
+    - {b wall-clock} — host time in a replayable run;
+    - {b poly-compare} — structural [compare] as a comparator;
+    - {b domain-unsafe} — toplevel mutable module state ([ref],
+      [Hashtbl.create], [Random.self_init]) in [lib/core], [lib/dsim],
+      [lib/store], [lib/harness], [lib/obs] and [lib/workload].  A
+      sweep worker process runs several cells one after another, so
+      such state would make a cell's result depend on which cells ran
+      before it in the same worker, and so on [-j];
+    - {b no-direct-print} — stdout printing from library code.
 
     Semantic rules (cross-file):
     - {b message-flow} — every [M_*] constructor declared in the trace
@@ -64,17 +73,9 @@ type finding = {
 val to_string : finding -> string
 (** [file:line:col: severity [rule] message] *)
 
-type rule_info = {
-  name : string;
-  about : string;  (** one-line description (SARIF rule metadata) *)
-  default_severity : severity;
-}
-
-val rule_infos : rule_info list
+val rule_names : string list
 (** Canonical rule order; finding lists are sorted by (file, line,
     rule order, col). *)
-
-val rule_names : string list
 
 (** {2 Configuration} *)
 
@@ -109,34 +110,17 @@ val scan_paths : string list -> source list
 type report = {
   findings : finding list;  (** sorted, deduplicated, post-suppression *)
   files : int;
-  cache_hits : int;
 }
 
-val analyze :
-  ?config:config ->
-  ?rules:string list ->
-  ?jobs:int ->
-  ?cache_file:string ->
-  source list ->
-  report
-(** Run every rule over the sources.  [rules] filters the {e reported}
-    findings (everything is still evaluated, so suppression accounting
-    is unaffected).  [jobs > 1] fans the per-file pass over
-    {!Harness.Pool} domains; the report is byte-identical whatever the
-    value.  [cache_file] enables per-file result caching keyed by a
-    content hash: unchanged files skip the lexer entirely, and the
-    cache is rewritten after the run (best-effort: an unreadable or
-    stale cache is simply ignored). *)
+val analyze : ?config:config -> ?rules:string list -> source list -> report
+(** Run every rule over the sources, one file after another.  [rules]
+    filters the {e reported} findings (everything is still evaluated,
+    so suppression accounting is unaffected). *)
 
 val render_text : report -> string
 (** One [to_string] line per finding (empty string when clean). *)
 
-val render_json : report -> string
-(** SARIF-style JSON document (version 2.1.0 shape: tool driver with
-    rule metadata, one result per finding).  Byte-deterministic:
-    depends only on the findings, never on job count or cache state. *)
-
 val lint_findings : file:string -> string -> finding list
-(** Single-file compatibility entry point for {!Lint}: the six token
-    rules plus marker suppression — no cross-file rules, no
-    [unused-allow]. *)
+(** Single-file entry point: the six token rules plus marker
+    suppression — no cross-file rules, no [unused-allow].  [file] is
+    only used in findings and for rule scoping. *)

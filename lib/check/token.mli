@@ -2,8 +2,8 @@
     lint and the protocol-flow analyzer ({!Analyzer}).
 
     This replaces the old line-regex matching (which leaned on [Str]'s
-    global match state — itself a [domain-unsafe] hazard under
-    {!Harness.Pool}) with a real single-pass lexer: comments (nested),
+    global match state — itself a [domain-unsafe] hazard) with a real
+    single-pass lexer: comments (nested),
     string literals (including [{id|...|id}] quoted strings) and char
     literals (including escapes) are recognised and blanked, everything
     else becomes a token carrying its line and column.  The lexer is

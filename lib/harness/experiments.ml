@@ -1,7 +1,7 @@
 (** Reproduction of every table and figure of the paper's evaluation
     (§6).  Each function enumerates the corresponding parameter sweep as
     a grid of independent simulation cells, executes them through
-    {!Sweep} (inline by default, or on a domain pool when [jobs > 1]),
+    {!Sweep} (inline by default, on [jobs] worker processes otherwise),
     and renders a table with the same rows/series the paper plots.
     Cells are keyed and results assembled in grid-key order, so the
     rendered report is byte-identical whatever the worker count.
@@ -59,8 +59,8 @@ let run_protocol ?trace ~timing ~workload_of ~clients ~config ~self_tune ~seed (
   Runner.run ?trace setup
 
 (* Register a cell with the tracer (when there is one) at {e cell
-   construction} time — sequentially, on the main domain — so trace
-   process ids and cell order never depend on the worker count. *)
+   construction} time, before any worker runs, so trace process ids and
+   cell order never depend on the worker count. *)
 let cell_trace tracer name =
   match tracer with None -> None | Some t -> Tracing.trace_for t ~cell:name
 
@@ -93,10 +93,10 @@ let protocol_sweep ?tracer ~jobs ~timing ~workload_of ~clients_list ~seed_of rep
          let trace =
            cell_trace tracer (Printf.sprintf "clients=%d/protocol=%s" clients pname)
          in
-         Sweep.cell (clients, pname)
+         Sweep.cell ?trace (clients, pname)
            (run_protocol ?trace ~timing ~workload_of ~clients ~config:(mk_config ())
               ~self_tune:tune ~seed:(seed_of clients)))
-  |> Sweep.run ~jobs
+  |> Sweep.run ?tracer ~jobs
   |> List.iter (fun ((clients, pname), r) ->
          Report.add_row report (protocol_row ~clients ~pname r));
   report
@@ -154,13 +154,13 @@ let fig4 ?(jobs = 1) ?tracer ~scale () =
              cell_trace tracer
                (Printf.sprintf "workload=%s/clients=%d/variant=%s" wname clients variant)
            in
-           Sweep.cell (wname, clients, variant)
+           Sweep.cell ?trace (wname, clients, variant)
              (run_protocol ?trace ~timing:(synth_timing scale)
                 ~workload_of:(fun pl -> Workload.Synthetic.make ~params pl)
                 ~clients
                 ~config:(Core.Config.str ~speculative_reads:sr ())
                 ~self_tune:tune ~seed:(clients + 23)))
-    |> Sweep.run ~jobs
+    |> Sweep.run ?tracer ~jobs
   in
   List.iter
     (fun ((wname, _), clients) ->
@@ -221,11 +221,11 @@ let table1 ?(jobs = 1) ?tracer ~scale () =
            let trace =
              cell_trace tracer (Printf.sprintf "keys=%d/technique=%s" nkeys vname)
            in
-           Sweep.cell (nkeys, vname)
+           Sweep.cell ?trace (nkeys, vname)
              (run_protocol ?trace ~timing:(synth_timing scale)
                 ~workload_of:(fun pl -> Workload.Synthetic.make ~params pl)
                 ~clients ~config:(mk_config ()) ~self_tune:false ~seed:(nkeys + 3)))
-    |> Sweep.run ~jobs
+    |> Sweep.run ?tracer ~jobs
   in
   let columns =
     List.map
@@ -412,11 +412,7 @@ let openloop_load ?(jobs = 1) ?(clients_per_dc = 2_000) ~scale () =
                  seed = int_of_float rate + 61;
                  jitter = 0.02;
                }))
-  (* Process workers, not domain workers: each open-loop cell pushes
-     one to two orders of magnitude more simulator events than the
-     closed-loop grids, which makes the OCaml 5.1 parallel-fiber race
-     (see procpool.mli) near-certain on a domain pool. *)
-  |> Sweep.run_processes ~jobs
+  |> Sweep.run ~jobs
   |> List.iter (fun ((rate, pname), r) ->
          let arrivals = r.Openloop.admitted + r.Openloop.dropped in
          Report.add_row report
@@ -480,7 +476,7 @@ let batch_load ?(jobs = 1) ?(clients_per_dc = 2_000) ~scale () =
                  seed = int_of_float rate + 61;
                  jitter = 0.02;
                }))
-  |> Sweep.run_processes ~jobs
+  |> Sweep.run ~jobs
   |> List.iter (fun ((rate, window), r) ->
          Report.add_row report
            [
@@ -823,8 +819,7 @@ let all ?(jobs = 1) ~scale () =
     storage ~jobs ~scale ();
     region_failure ~jobs ~scale ();
     (* {!openloop_load} and {!batch_load} are standalone subcommands
-       (str_sim openloop / batchfig), not part of [all]: their cells
-       run on process workers ({!Sweep.run_processes}), and [Unix.fork]
-       is unavailable once the domain pools above have run. *)
+       (str_sim openloop / batchfig), not part of [all], so [all] (and
+       [make tables]) keeps printing the same set of reports. *)
   ]
   @ ablations ~jobs ~scale ()

@@ -1,23 +1,28 @@
 (** See sweep.mli. *)
 
-type ('k, 'r) cell = { key : 'k; thunk : unit -> 'r }
+type ('k, 'r) cell = { key : 'k; trace : Obs.Trace.t option; thunk : unit -> 'r }
 
-let cell key thunk = { key; thunk }
+let cell ?trace key thunk = { key; trace; thunk }
 
 let keys cells = List.map (fun c -> c.key) cells
 
-let run ?pool ?(jobs = 1) cells =
-  let thunks = List.map (fun c -> c.thunk) cells in
-  let results =
-    match pool with
-    | Some p -> Pool.run p thunks
-    | None -> Pool.with_pool ~jobs (fun p -> Pool.run p thunks)
+let run ?tracer ~jobs cells =
+  let adopt =
+    match tracer with
+    | Some t -> Tracing.adopt t
+    | None ->
+      if List.exists (fun c -> Option.is_some c.trace) cells then
+        invalid_arg "Sweep.run: traced cells need ~tracer";
+      ignore
   in
-  List.map2 (fun c r -> (c.key, r)) cells results
-
-let run_processes ?(jobs = 1) cells =
-  let results = Procpool.run ~jobs (List.map (fun c -> c.thunk) cells) in
-  List.map2 (fun c r -> (c.key, r)) cells results
+  (* A traced cell returns its recorder next to its result: run in a
+     worker process, the recorder the cell wrote into lives only there. *)
+  Procpool.run ~jobs (List.map (fun c () -> (c.thunk (), c.trace)) cells)
+  |> List.map2
+       (fun c (r, trace) ->
+         Option.iter adopt trace;
+         (c.key, r))
+       cells
 
 let get results key =
   match List.assq_opt key results with

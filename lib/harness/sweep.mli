@@ -2,35 +2,33 @@
 
     An experiment is described as a list of {e cells} — a grid key plus
     a pure thunk that runs one simulation — instead of nested loops that
-    run inline.  {!run} executes the thunks (optionally on a
-    {!Pool.t}) and returns [(key, result)] pairs {b in enumeration
+    run inline.  {!run} executes the thunks on {!Procpool} worker
+    processes and returns [(key, result)] pairs {b in enumeration
     order}, so a report assembled by folding over the returned list is
-    byte-identical whatever the worker count or completion order.
+    byte-identical whatever the worker count.
 
     Thunks must be self-contained: each builds its own simulator state
-    and shares nothing with its siblings (which {!Runner.run} already
-    guarantees — enforced by the [domain-unsafe] lint rule). *)
+    and shares nothing with its siblings or with earlier cells of the
+    same worker (which {!Runner.run} already guarantees — enforced by
+    the [domain-unsafe] lint rule). *)
 
 type ('k, 'r) cell
 
-val cell : 'k -> (unit -> 'r) -> ('k, 'r) cell
+val cell : ?trace:Obs.Trace.t -> 'k -> (unit -> 'r) -> ('k, 'r) cell
+(** [trace] is the recorder the thunk writes into (from
+    {!Tracing.trace_for}).  A worker process sends it back with the
+    cell's result, and {!run} hands it to the tracer. *)
 
 val keys : ('k, 'r) cell list -> 'k list
 
-val run : ?pool:Pool.t -> ?jobs:int -> ('k, 'r) cell list -> ('k * 'r) list
-(** Execute every cell and pair results with their grid keys, in the
-    order the cells were enumerated.  [pool] reuses an existing pool
-    (it is not shut down); otherwise a pool of [jobs] workers (default
-    [1]: inline, no domains) is created for the batch. *)
-
-val run_processes : ?jobs:int -> ('k, 'r) cell list -> ('k * 'r) list
-(** Like {!run}, but executes cells on forked single-domain worker
-    {e processes} ({!Procpool}) instead of a domain pool.  Same
-    enumeration-order contract.  Use for high-event-volume grids (the
-    open-loop cells) where the OCaml 5.1 parallel-fiber race documented
-    in procpool.mli makes domain workers unreliable; results must be
-    marshallable plain data and cell side effects (tracing) do not
-    cross back. *)
+val run : ?tracer:Tracing.t -> jobs:int -> ('k, 'r) cell list -> ('k * 'r) list
+(** Execute every cell on [jobs] worker processes ({!Procpool.run};
+    [jobs <= 1] runs them in the calling process) and pair results with
+    their grid keys, in the order the cells were enumerated.  The
+    recorders of traced cells come back to [tracer] ({!Tracing.adopt}),
+    so its export does not depend on [jobs] either.  Raises
+    [Invalid_argument] when a cell has a [trace] but no [tracer] is
+    given, and {!Procpool.Cell_failed} when a cell fails. *)
 
 val get : ('k * 'r) list -> 'k -> 'r
 (** Keyed lookup into {!run} output.  Raises [Invalid_argument] when

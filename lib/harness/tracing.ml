@@ -1,17 +1,16 @@
-(* Sweep-level trace collector.  Cells must register on the main domain
-   (sweep cells are constructed sequentially, before any worker domain
-   starts), so registration order — and hence every pid and the export
-   byte stream — is independent of the worker count.  The mutex only
-   guards against misuse from a worker domain. *)
+(* Sweep-level trace collector.  Cells register while the sweep is
+   being built, in enumeration order, so registration order — and hence
+   every pid and the export byte stream — is independent of the worker
+   count.  Recorders written in worker processes come back through
+   [adopt], matched on their pid base. *)
 
 type t = {
   filter : string option;
-  mutex : Mutex.t;
   mutable cells : (string * Obs.Trace.t) list;  (* reverse registration order *)
   mutable n : int;  (* registrations so far, including filtered-out ones *)
 }
 
-let create ?filter () = { filter; mutex = Mutex.create (); cells = []; n = 0 }
+let create ?filter () = { filter; cells = []; n = 0 }
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -19,7 +18,6 @@ let contains ~sub s =
   n = 0 || at 0
 
 let trace_for t ~cell =
-  Mutex.lock t.mutex;
   let selected =
     match t.filter with None -> true | Some f -> contains ~sub:f cell
   in
@@ -34,8 +32,16 @@ let trace_for t ~cell =
     end
   in
   t.n <- t.n + 1;
-  Mutex.unlock t.mutex;
   r
+
+let adopt t tr =
+  let base = Obs.Trace.pid_base tr in
+  if not (List.exists (fun (_, old) -> Obs.Trace.pid_base old = base) t.cells) then
+    invalid_arg "Tracing.adopt: no cell registered this pid base";
+  t.cells <-
+    List.map
+      (fun ((name, old) as entry) -> if Obs.Trace.pid_base old = base then (name, tr) else entry)
+      t.cells
 
 let traces t = List.rev t.cells
 

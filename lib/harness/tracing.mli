@@ -2,13 +2,15 @@
     {!Obs.Trace.t} recorder and merges them into one deterministic
     export.
 
-    Determinism contract: {!trace_for} must be called from the {e main}
-    domain while the sweep's cells are being constructed (cells are
-    built sequentially, before any worker domain starts).  Each
-    registration — filtered out or not — consumes one pid-base slot, so
-    process ids, cell order, and therefore the exported bytes depend
-    only on the enumeration order of the sweep, never on how many
-    workers later execute it. *)
+    Determinism contract: {!trace_for} is called while the sweep's
+    cells are being constructed, before {!Sweep.run} starts any worker.
+    Each registration — filtered out or not — consumes one pid-base
+    slot, so process ids, cell order, and therefore the exported bytes
+    depend only on the enumeration order of the sweep.  A cell run in a
+    worker process writes into that process's copy of its recorder;
+    {!Sweep.run} ships the copy back and {!adopt}s it into the cell's
+    slot, so the export never depends on how many workers ran the
+    sweep. *)
 
 type t
 
@@ -18,8 +20,14 @@ type t
 val create : ?filter:string -> unit -> t
 
 (** Recorder for the named cell, or [None] if the filter excludes it.
-    Pass the result as [?trace] to {!Runner.run} / {!Core.Engine.create}. *)
+    Pass the result as [?trace] to {!Runner.run} / {!Core.Engine.create}
+    and to {!Sweep.cell}. *)
 val trace_for : t -> cell:string -> Obs.Trace.t option
+
+(** Replace the registered recorder with the same pid base by this
+    one (the copy a worker process sent back).  Raises
+    [Invalid_argument] when no cell registered that pid base. *)
+val adopt : t -> Obs.Trace.t -> unit
 
 (** [(cell_name, trace)] pairs in registration order. *)
 val traces : t -> (string * Obs.Trace.t) list

@@ -44,14 +44,14 @@ let default =
 
 (* ---- key schema (partition = shard node; cat/region spread) ---- *)
 
-let counter_key node table = Key.v ~partition:node (Printf.sprintf "ctr/%s" table)
-let user_key node id = Key.v ~partition:node (Printf.sprintf "user/%d" id)
-let item_key node id = Key.v ~partition:node (Printf.sprintf "item/%d" id)
-let bid_key node id = Key.v ~partition:node (Printf.sprintf "bid/%d" id)
-let comment_key node id = Key.v ~partition:node (Printf.sprintf "comment/%d" id)
-let buynow_key node id = Key.v ~partition:node (Printf.sprintf "buynow/%d" id)
-let category_key n_nodes c = Key.v ~partition:(c mod n_nodes) (Printf.sprintf "cat/%d" c)
-let region_key n_nodes r = Key.v ~partition:(r mod n_nodes) (Printf.sprintf "region/%d" r)
+let counter_key node table = Key.v ~partition:node ("ctr/" ^ table)
+let user_key node id = Key.v ~partition:node ("user/" ^ string_of_int id)
+let item_key node id = Key.v ~partition:node ("item/" ^ string_of_int id)
+let bid_key node id = Key.v ~partition:node ("bid/" ^ string_of_int id)
+let comment_key node id = Key.v ~partition:node ("comment/" ^ string_of_int id)
+let buynow_key node id = Key.v ~partition:node ("buynow/" ^ string_of_int id)
+let category_key n_nodes c = Key.v ~partition:(c mod n_nodes) ("cat/" ^ string_of_int c)
+let region_key n_nodes r = Key.v ~partition:(r mod n_nodes) ("region/" ^ string_of_int r)
 
 (* ---- dataset ---- *)
 

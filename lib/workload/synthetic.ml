@@ -64,8 +64,8 @@ let scale_keys p factor =
     remote_space = p.remote_space * factor;
   }
 
-let local_key ~partition i = Key.v ~partition (Printf.sprintf "l%d" i)
-let remote_key ~partition i = Key.v ~partition (Printf.sprintf "r%d" i)
+let local_key ~partition i = Key.v ~partition ("l" ^ string_of_int i)
+let remote_key ~partition i = Key.v ~partition ("r" ^ string_of_int i)
 
 (* Partitions that [node] does not replicate: targets for remote accesses. *)
 let remote_partitions placement node =

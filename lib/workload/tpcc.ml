@@ -67,27 +67,33 @@ let mix_full =
 
 let node_of_warehouse p w = w / p.warehouses_per_node
 
-let warehouse_key p w = Key.v ~partition:(node_of_warehouse p w) (Printf.sprintf "w/%d" w)
+let warehouse_key p w = Key.v ~partition:(node_of_warehouse p w) ("w/" ^ string_of_int w)
 
 let district_key p w d =
-  Key.v ~partition:(node_of_warehouse p w) (Printf.sprintf "d/%d/%d" w d)
+  Key.v ~partition:(node_of_warehouse p w)
+    (String.concat "/" [ "d"; string_of_int w; string_of_int d ])
 
 let customer_key p w d c =
-  Key.v ~partition:(node_of_warehouse p w) (Printf.sprintf "c/%d/%d/%d" w d c)
+  Key.v ~partition:(node_of_warehouse p w)
+    (String.concat "/" [ "c"; string_of_int w; string_of_int d; string_of_int c ])
 
 let order_key p w d o =
-  Key.v ~partition:(node_of_warehouse p w) (Printf.sprintf "o/%d/%d/%d" w d o)
+  Key.v ~partition:(node_of_warehouse p w)
+    (String.concat "/" [ "o"; string_of_int w; string_of_int d; string_of_int o ])
 
 let order_line_key p w d o n =
-  Key.v ~partition:(node_of_warehouse p w) (Printf.sprintf "ol/%d/%d/%d/%d" w d o n)
+  Key.v ~partition:(node_of_warehouse p w)
+    (String.concat "/" [ "ol"; string_of_int w; string_of_int d; string_of_int o; string_of_int n ])
 
 let stock_key p w i =
-  Key.v ~partition:(node_of_warehouse p w) (Printf.sprintf "s/%d/%d" w i)
+  Key.v ~partition:(node_of_warehouse p w)
+    (String.concat "/" [ "s"; string_of_int w; string_of_int i ])
 
 (** Next order id awaiting delivery, per district (stands in for the
     NEW-ORDER table of the full schema). *)
 let delivery_cursor_key p w d =
-  Key.v ~partition:(node_of_warehouse p w) (Printf.sprintf "dc/%d/%d" w d)
+  Key.v ~partition:(node_of_warehouse p w)
+    (String.concat "/" [ "dc"; string_of_int w; string_of_int d ])
 
 (* ---- dataset ---- *)
 

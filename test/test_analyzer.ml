@@ -13,7 +13,7 @@ module T = Check.Token
 
 let src path text = { A.path; A.text }
 
-let run ?rules ?jobs ?cache_file srcs = A.analyze ?rules ?jobs ?cache_file srcs
+let run ?rules srcs = A.analyze ?rules srcs
 
 let fired report =
   List.sort_uniq String.compare
@@ -448,7 +448,7 @@ let test_rule_filter () =
   check_fired "filter reports only the requested rule" report [ "cost-coverage" ]
 
 (* ------------------------------------------------------------------ *)
-(* Determinism and caching                                             *)
+(* Renderer                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let corpus =
@@ -464,68 +464,16 @@ let corpus =
     src "lib/harness/out.ml" "let show r = print_endline r\n";
   ]
 
-let test_jobs_determinism () =
-  let r1 = run ~jobs:1 corpus in
-  let r4 = run ~jobs:4 corpus in
-  Alcotest.(check bool) "corpus has findings" true (r1.A.findings <> []);
-  Alcotest.(check string) "text identical" (A.render_text r1) (A.render_text r4);
-  Alcotest.(check string) "json identical" (A.render_json r1) (A.render_json r4)
-
-let test_cache () =
-  let cache = Filename.temp_file "analyzer_cache" ".json" in
-  let r1 = run ~cache_file:cache corpus in
-  Alcotest.(check int) "cold cache" 0 r1.A.cache_hits;
-  let r2 = run ~cache_file:cache corpus in
-  Alcotest.(check int) "warm cache hits every file" (List.length corpus)
-    r2.A.cache_hits;
-  Alcotest.(check string) "cached run renders identically" (A.render_json r1)
-    (A.render_json r2);
-  let edited =
-    List.map
-      (fun s ->
-        if s.A.path = "lib/core/stale.ml" then
-          src s.A.path "(* lint: allow raw-random *)\nlet pick n = Random.int n\n"
-        else s)
-      corpus
-  in
-  let r3 = run ~cache_file:cache edited in
-  Alcotest.(check int) "edited file misses, others hit"
-    (List.length corpus - 1) r3.A.cache_hits;
-  Alcotest.(check bool) "edited file's findings change" true
-    (A.render_json r3 <> A.render_json r2);
-  Sys.remove cache
-
-let test_cache_garbage_tolerated () =
-  let cache = Filename.temp_file "analyzer_cache" ".json" in
-  let oc = open_out cache in
-  output_string oc "not json at all {";
-  close_out oc;
-  let r = run ~cache_file:cache corpus in
-  Alcotest.(check int) "garbage cache is a miss" 0 r.A.cache_hits;
-  Alcotest.(check string) "findings unaffected" (A.render_json (run corpus))
-    (A.render_json r);
-  Sys.remove cache
-
-(* ------------------------------------------------------------------ *)
-(* Renderers                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_render_shapes () =
+let test_render_shape () =
   let report = run corpus in
   let txt = A.render_text report in
+  Alcotest.(check bool) "corpus has findings" true (report.A.findings <> []);
   List.iter
     (fun (f : A.finding) ->
       let line = A.to_string f in
       Alcotest.(check bool) (line ^ " present in text") true
         (List.mem line (String.split_on_char '\n' txt)))
-    report.A.findings;
-  let js = A.render_json report in
-  match Harness.Bench_json.parse js with
-  | Error e -> Alcotest.failf "render_json does not parse: %s" e
-  | Ok (Harness.Bench_json.Obj top) ->
-    Alcotest.(check bool) "sarif version present" true
-      (List.mem_assoc "version" top && List.mem_assoc "runs" top)
-  | Ok _ -> Alcotest.fail "render_json is not an object"
+    report.A.findings
 
 let () =
   Alcotest.run "analyzer"
@@ -580,13 +528,5 @@ let () =
           Alcotest.test_case "unused-allow both ways" `Quick test_unused_allow;
           Alcotest.test_case "rule filter" `Quick test_rule_filter;
         ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "jobs=1 vs jobs=4 byte-identical" `Quick
-            test_jobs_determinism;
-          Alcotest.test_case "content-hash cache" `Quick test_cache;
-          Alcotest.test_case "garbage cache tolerated" `Quick
-            test_cache_garbage_tolerated;
-        ] );
-      ("render", [ Alcotest.test_case "text and sarif shapes" `Quick test_render_shapes ]);
+      ("render", [ Alcotest.test_case "text shape" `Quick test_render_shape ]);
     ]

@@ -238,12 +238,12 @@ let sweep_export ~jobs =
     List.map
       (fun (name, seed) ->
         let trace = Harness.Tracing.trace_for tracer ~cell:name in
-        Harness.Sweep.cell name (fun () ->
+        Harness.Sweep.cell ?trace name (fun () ->
             (Harness.Runner.run ?trace (small_setup ~clients:4 ~seed ())).Harness.Runner
               .committed))
       [ ("seed=3", 3); ("seed=4", 4); ("seed=5", 5) ]
   in
-  let results = Harness.Sweep.run ~jobs cells in
+  let results = Harness.Sweep.run ~tracer ~jobs cells in
   (List.map snd results, Harness.Tracing.export_chrome tracer, Harness.Tracing.export_jsonl tracer)
 
 let test_export_bytes_jobs_invariant () =
@@ -254,6 +254,30 @@ let test_export_bytes_jobs_invariant () =
   Alcotest.(check bool) "jsonl bytes identical" true (String.equal jsonl1 jsonl4);
   Alcotest.(check int) "fingerprints agree"
     (Obs.Export.fingerprint chrome1) (Obs.Export.fingerprint chrome4)
+
+let test_worker_recorders_adopted () =
+  (* A cell run in a worker process writes into that process's copy of
+     its recorder: the copy must come back, or the export would be
+     silently empty. *)
+  let tracer = Harness.Tracing.create () in
+  let cells =
+    List.map
+      (fun seed ->
+        let name = Printf.sprintf "seed=%d" seed in
+        let trace = Harness.Tracing.trace_for tracer ~cell:name in
+        Harness.Sweep.cell ?trace name (fun () ->
+            ignore (Harness.Runner.run ?trace (small_setup ~clients:4 ~seed ()))))
+      [ 3; 4 ]
+  in
+  ignore (Harness.Sweep.run ~tracer ~jobs:2 cells);
+  List.iter
+    (fun (name, tr) ->
+      Alcotest.(check bool) (name ^ " recorded events") true (Trace.n_events tr > 0))
+    (Harness.Tracing.traces tracer);
+  (* Without the tracer the recorders would be lost: refused. *)
+  match Harness.Sweep.run ~jobs:2 cells with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 let test_tracing_filter_pins_pids () =
   (* A filtered-out cell still consumes its pid-base slot, so the pids
@@ -515,6 +539,8 @@ let () =
           Alcotest.test_case "bytes invariant under jobs" `Quick
             test_export_bytes_jobs_invariant;
           Alcotest.test_case "filter pins pid bases" `Quick test_tracing_filter_pins_pids;
+          Alcotest.test_case "worker recorders come back" `Quick
+            test_worker_recorders_adopted;
         ] );
       ( "critpath",
         [

@@ -1,84 +1,87 @@
-(* Tests for the parallel sweep harness: the domain pool (ordering,
-   exception propagation, nested-submit rejection, teardown), the Sweep
+(* Tests for the sweep executor: the fork-based worker pool (ordering,
+   one failure contract at every worker count, reaping), the Sweep
    task abstraction, and the determinism contract — experiment reports
    render byte-identical whatever the worker count. *)
 
-module Pool = Harness.Pool
+module Procpool = Harness.Procpool
 module Sweep = Harness.Sweep
 
 (* --- pool ----------------------------------------------------------- *)
 
 let test_pool_ordering () =
-  (* Results come back in submission order even though four workers
-     race over the queue. *)
+  (* Results come back in submission order although four worker
+     processes each run an interleaved slice. *)
   let expected = List.init 64 (fun i -> i * i) in
-  let got =
-    Pool.with_pool ~jobs:4 (fun p ->
-        Pool.run p (List.init 64 (fun i () -> i * i)))
-  in
+  let got = Procpool.run ~jobs:4 (List.init 64 (fun i () -> i * i)) in
   Alcotest.(check (list int)) "squares in order" expected got
 
 let test_pool_inline_matches_parallel () =
   let thunks () = List.init 20 (fun i () -> 3 * i) in
-  let inline = Pool.with_pool ~jobs:1 (fun p -> Pool.run p (thunks ())) in
-  let parallel = Pool.with_pool ~jobs:3 (fun p -> Pool.run p (thunks ())) in
+  let inline = Procpool.run ~jobs:1 (thunks ()) in
+  let parallel = Procpool.run ~jobs:3 (thunks ()) in
   Alcotest.(check (list int)) "jobs=1 and jobs=3 agree" inline parallel
 
+(* No child may outlive a batch, whatever happened in it. *)
+let check_no_child_left () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | 0, _ -> Alcotest.fail "a worker process is still running"
+  | _, _ -> Alcotest.fail "a worker process was left unreaped"
+
 let test_pool_reuse_across_batches () =
-  Pool.with_pool ~jobs:2 (fun p ->
-      Alcotest.(check (list int)) "first batch" [ 1; 2; 3 ]
-        (Pool.run p [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]);
-      Alcotest.(check (list string)) "second batch, same workers" [ "a"; "b" ]
-        (Pool.run p [ (fun () -> "a"); (fun () -> "b") ]);
-      Alcotest.(check (list int)) "empty batch" [] (Pool.run p []))
+  Alcotest.(check (list int)) "first batch" [ 1; 2; 3 ]
+    (Procpool.run ~jobs:2 [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]);
+  check_no_child_left ();
+  Alcotest.(check (list string)) "second batch" [ "a"; "b" ]
+    (Procpool.run ~jobs:2 [ (fun () -> "a"); (fun () -> "b") ]);
+  check_no_child_left ();
+  Alcotest.(check (list int)) "empty batch" [] (Procpool.run ~jobs:2 [])
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
 
 let test_pool_exception_propagation () =
-  (* Every task runs to completion; the lowest-index failure is the one
-     re-raised. *)
-  let ran = Atomic.make 0 in
-  let boom i () =
-    Atomic.incr ran;
-    failwith (Printf.sprintf "boom-%d" i)
-  in
-  let task i () =
-    Atomic.incr ran;
-    i
-  in
+  (* Every cell runs; the lowest-index failure is the one reported, in
+     the same exception at every worker count. *)
+  let ran = ref 0 in
   let thunks =
-    List.init 10 (fun i -> if i = 3 || i = 7 then boom i else task i)
+    List.init 10 (fun i () ->
+        incr ran;
+        if i = 3 || i = 7 then failwith (Printf.sprintf "boom-%d" i) else i)
   in
-  (try
-     ignore (Pool.with_pool ~jobs:4 (fun p -> Pool.run p thunks));
-     Alcotest.fail "expected an exception"
-   with Failure msg -> Alcotest.(check string) "lowest-index failure wins" "boom-3" msg);
-  Alcotest.(check int) "siblings of a failed task still ran" 10 (Atomic.get ran)
-
-let test_pool_nested_submit_rejected () =
-  (* A task resubmitting to its own pool would deadlock once every
-     worker does it; the pool rejects it outright — in both modes. *)
-  let nested p () = Pool.run p [ (fun () -> 1) ] in
   List.iter
     (fun jobs ->
-      try
-        ignore
-          (Pool.with_pool ~jobs (fun p -> Pool.run p [ (fun () -> List.hd (nested p ())) ]));
-        Alcotest.fail "expected Nested_submit"
-      with Pool.Nested_submit -> ())
-    [ 1; 2 ]
+      match Procpool.run ~jobs thunks with
+      | _ -> Alcotest.fail "expected Cell_failed"
+      | exception Procpool.Cell_failed msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "jobs=%d: lowest-index failure wins (%s)" jobs msg)
+          true
+          (contains msg "cell 3 raised" && contains msg "boom-3"
+          && not (contains msg "boom-7")))
+    [ 1; 2; 4 ];
+  (* Only the in-process run ([jobs = 1]) can count its cells here. *)
+  Alcotest.(check int) "siblings of a failed cell still ran" 10 !ran
 
-let test_pool_shutdown_rejects_use () =
-  let p = Pool.create ~jobs:2 in
-  Alcotest.(check (list int)) "live pool works" [ 7 ] (Pool.run p [ (fun () -> 7) ]);
-  Pool.shutdown p;
-  (try
-     ignore (Pool.run p [ (fun () -> 8) ]);
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ());
-  (* Idempotent teardown. *)
-  Pool.shutdown p
+type payload = Closure of (unit -> unit) | Text of string
 
-let test_pool_map () =
-  Alcotest.(check (list int)) "map" [ 2; 4; 6 ] (Pool.map ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ])
+let test_pool_reaps_after_failure () =
+  (* Worker 0's result is a closure, which cannot be marshalled;
+     worker 1's result is larger than a pipe buffer, so it blocks in
+     [write] until the parent reads it.  The failure must still be
+     reported as a cell failure, after both workers are read and
+     reaped. *)
+  let big = String.make 200_000 'x' in
+  (match
+     Procpool.run ~jobs:2 [ (fun () -> Closure ignore); (fun () -> Text big) ]
+   with
+  | _ -> Alcotest.fail "expected Cell_failed"
+  | exception Procpool.Cell_failed msg ->
+    Alcotest.(check bool) ("names cell 0: " ^ msg) true
+      (contains msg "cell 0" && contains msg "marshal"));
+  check_no_child_left ()
 
 (* --- sweep ---------------------------------------------------------- *)
 
@@ -184,9 +187,8 @@ let () =
           Alcotest.test_case "inline matches parallel" `Quick test_pool_inline_matches_parallel;
           Alcotest.test_case "reusable across batches" `Quick test_pool_reuse_across_batches;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagation;
-          Alcotest.test_case "nested submit rejected" `Quick test_pool_nested_submit_rejected;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects_use;
-          Alcotest.test_case "map" `Quick test_pool_map;
+          Alcotest.test_case "failed batch reaps every worker" `Quick
+            test_pool_reaps_after_failure;
         ] );
       ("sweep", [ Alcotest.test_case "grid order and lookup" `Quick test_sweep_grid_order ]);
       ( "determinism",
